@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from choiscope.bsa import bsa_operation, is_separable_operation
+from choiscope.bsa import bsa_operation
 from choiscope.channels import validate
 from choiscope.generators import random_cp_channel
 
@@ -32,9 +32,7 @@ def run(config: SurveyConfig) -> dict:
         report = validate(ch)
         assert report.completely_positive and report.trace_preserving
         res = bsa_operation(ch, 2, budget=config.budget, seed=config.seed)
-        verdict = is_separable_operation(ch, 2, budget=config.budget,
-                                         seed=config.seed)
-        tally[verdict.kind] += 1
+        tally[res.verdict.kind] += 1
         lams.append(res.lam)
     return {"tally": tally,
             "lambda_mean": float(np.mean(lams)),

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import Channel
-from .errors import (CandidateOutsideRange, DimensionMismatch,
+from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NotAState, NotCompletelyPositive, ZeroMatrix)
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix, check_hermitian
 from .reshape import (BipartiteShape, devectorize, middle_swap,
@@ -67,11 +67,19 @@ class BsaDecomposition:
 
 
 @dataclass(frozen=True)
+class SeparabilityVerdict:
+    kind: str  # "separable" | "entangled" | "inconclusive"
+    witness_kraus: Optional[tuple] = None
+    ent_fraction: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class OperationBsa:
     bsa_part: Channel
     ent_part: Channel
     lam: float
     terms: tuple  # of (weight, ProductVector) in the regrouped Choi space
+    verdict: SeparabilityVerdict
 
 
 def _check_state(rho, tol: Tolerance) -> np.ndarray:
@@ -216,24 +224,31 @@ def _range_projector(rho: np.ndarray, atol: float):
     return cols @ cols.conj().T, cols.shape[1]
 
 
-def _best_product_overlap(Pi4, e, f, iters=80):
+def _best_product_overlaps(Pi4, e, f, iters=80):
     """Alternating power iterations maximizing <e f|Pi|e f> for fixed Pi.
 
-    ``Pi4`` is the range projector reshaped to (u, m, v, n) axes.
+    ``Pi4`` is the range projector reshaped to (u, m, v, n) axes; ``e``
+    and ``f`` stack one start per row.  Each row stops on its own once
+    its overlap changes by less than 1e-13, or after ``iters`` rounds.
     """
-    overlap = -1.0
+    e, f = e.copy(), f.copy()
+    overlap = np.full(len(e), -1.0)
+    active = np.arange(len(e))
     for _ in range(iters):
-        M = np.einsum("u,umvn,v->mn", f.conj(), Pi4, f)
-        wv, Ve = np.linalg.eigh((M + M.conj().T) / 2.0)
-        e = Ve[:, -1]
-        M = np.einsum("m,umvn,n->uv", e.conj(), Pi4, e)
-        wf, Vf = np.linalg.eigh((M + M.conj().T) / 2.0)
-        f = Vf[:, -1]
-        new = float(wf[-1].real)
-        if abs(new - overlap) < 1e-13:
-            overlap = new
+        fa = f[active]
+        M = np.einsum("bu,umvn,bv->bmn", fa.conj(), Pi4, fa)
+        _, Ve = np.linalg.eigh((M + M.conj().transpose(0, 2, 1)) / 2.0)
+        ea = Ve[:, :, -1]
+        M = np.einsum("bm,umvn,bn->buv", ea.conj(), Pi4, ea)
+        wf, Vf = np.linalg.eigh((M + M.conj().transpose(0, 2, 1)) / 2.0)
+        e[active] = ea
+        f[active] = Vf[:, :, -1]
+        new = wf[:, -1]
+        converged = np.abs(new - overlap[active]) < 1e-13
+        overlap[active] = new
+        active = active[~converged]
+        if not active.size:
             break
-        overlap = new
     return e, f, overlap
 
 
@@ -245,7 +260,9 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     Random product vectors already in the range are kept directly; the
     rest are locally optimized toward the range by alternating power
     iterations and kept if the final overlap exceeds 1 - 1e-6.
-    Near-duplicates are dropped.
+    Near-duplicates are dropped.  Attempts are drawn and optimized in
+    blocks (first the number still needed, then doubling), but accepted
+    in attempt order, so the result is that of one attempt at a time.
     """
     rho = _check_state(rho, tol)
     if rho.shape != (shape.dim, shape.dim):
@@ -253,31 +270,42 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     rng = np.random.default_rng(seed)
     Pi, rank = _range_projector(rho, tol.atol)
     full_range = rank == shape.dim
-    Pi4 = Pi.reshape(shape.d_B, shape.d_A, shape.d_B, shape.d_A)
+    dA, dB = shape.d_A, shape.d_B
+    Pi4 = Pi.reshape(dB, dA, dB, dA)
     kept: list[ProductVector] = []
-    kept_vecs: list[np.ndarray] = []
+    kept_vecs = np.empty((max(count, 0), shape.dim), dtype=complex)
     attempts = 0
     cap = max_attempts if max_attempts is not None else 40 * count
     while len(kept) < count and attempts < cap:
-        attempts += 1
-        e = rng.normal(size=shape.d_A) + 1j * rng.normal(size=shape.d_A)
-        f = rng.normal(size=shape.d_B) + 1j * rng.normal(size=shape.d_B)
-        e /= np.linalg.norm(e)
-        f /= np.linalg.norm(f)
-        if full_range:
-            overlap = 1.0
-        else:
-            v = tensor_vectors(e, f)
-            overlap = float(np.vdot(v, Pi @ v).real)
-            if overlap < 1.0 - RANGE_TOL:
-                e, f, overlap = _best_product_overlap(Pi4, e, f)
-                if overlap < 1.0 - 1e-6:
-                    continue
-        v = tensor_vectors(e, f)
-        if any(abs(np.vdot(v, u)) ** 2 > 1.0 - 1e-8 for u in kept_vecs):
-            continue
-        kept.append(ProductVector(e, f))
-        kept_vecs.append(v)
+        block = min(count - len(kept) if attempts == 0 else attempts,
+                    cap - attempts)
+        attempts += block
+        # one row per attempt: [Re e, Im e, Re f, Im f], the order in
+        # which a single attempt draws them
+        x = rng.normal(size=(block, 2 * (dA + dB)))
+        e = x[:, :dA] + 1j * x[:, dA:2 * dA]
+        f = x[:, 2 * dA:2 * dA + dB] + 1j * x[:, 2 * dA + dB:]
+        for i in range(block):
+            e[i] /= np.linalg.norm(e[i])
+            f[i] /= np.linalg.norm(f[i])
+        ok = np.ones(block, dtype=bool)
+        if not full_range:
+            vs = (f[:, :, None] * e[:, None, :]).reshape(block, -1)
+            overlap = np.einsum("bi,ij,bj->b", vs.conj(), Pi, vs).real
+            out = np.flatnonzero(overlap < 1.0 - RANGE_TOL)
+            if out.size:
+                e[out], f[out], overlap[out] = _best_product_overlaps(
+                    Pi4, e[out], f[out])
+                ok[out] = overlap[out] >= 1.0 - 1e-6
+        for i in np.flatnonzero(ok):
+            v = tensor_vectors(e[i], f[i])
+            n = len(kept)
+            if n and np.max(np.abs(kept_vecs[:n] @ v.conj())) ** 2 > 1.0 - 1e-8:
+                continue
+            kept.append(ProductVector(e[i], f[i]))
+            kept_vecs[n] = v
+            if len(kept) == count:
+                break
     return kept
 
 
@@ -315,6 +343,7 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
         if lam > 0:
             delta -= lam * P
     total = float(np.sum(lambdas))
+    last_gain = np.inf  # no sweep run: not converged
     for sweep in range(max_sweeps):
         for a in range(len(V)):
             rho_a = delta + lambdas[a] * projs[a]
@@ -717,35 +746,26 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
     ent_choi = D - bsa_part.choi
     ent_part = Channel.from_choi(ent_choi, n, n)
     return OperationBsa(bsa_part=bsa_part, ent_part=ent_part,
-                        lam=dec.lambda_total, terms=dec.terms)
+                        lam=dec.lambda_total, terms=dec.terms,
+                        verdict=_verdict(D, bsa_part, ent_part, d, tol))
 
 
-@dataclass(frozen=True)
-class SeparabilityVerdict:
-    kind: str  # "separable" | "entangled" | "inconclusive"
-    witness_kraus: Optional[tuple] = None
-    ent_fraction: Optional[float] = None
-
-
-def is_separable_operation(channel: Channel, d: int, budget: int = 500,
-                           seed: int = 0,
-                           tol: Tolerance = DEFAULT_TOL) -> SeparabilityVerdict:
-    """Semi-decision procedure for separability of a bipartite CP map.
+def _verdict(D, bsa_part: Channel, ent_part: Channel, d: int,
+             tol: Tolerance) -> SeparabilityVerdict:
+    """Separability verdict from a map's Choi matrix and its BSA split.
 
     Separable when the entangled remainder is numerically zero; entangled
     when the BSA residual has a one-dimensional range spanned by a
     non-product vector (then no product decomposition can exist);
     inconclusive otherwise.
     """
-    result = bsa_operation(channel, d, budget=budget, seed=seed, tol=tol)
-    D = channel.choi
     norm_D = float(np.linalg.norm(D))
-    norm_ent = float(np.linalg.norm(result.ent_part.choi))
+    norm_ent = float(np.linalg.norm(ent_part.choi))
     if norm_ent <= 1e-6 * norm_D:
         return SeparabilityVerdict("separable",
-                                   witness_kraus=tuple(result.bsa_part.kraus or ()))
+                                   witness_kraus=tuple(bsa_part.kraus or ()))
     P = choi_regroup_permutation(d)
-    residual = P @ result.ent_part.choi @ P
+    residual = P @ ent_part.choi @ P
     w, V = np.linalg.eigh((residual + residual.conj().T) / 2.0)
     support = np.sum(w > 1e-8 * max(w[-1], 1.0))
     if support == 1:
@@ -753,3 +773,13 @@ def is_separable_operation(channel: Channel, d: int, budget: int = 500,
         if _schmidt_factors(V[:, -1], shape, tol) is None:
             return SeparabilityVerdict("entangled", ent_fraction=norm_ent / norm_D)
     return SeparabilityVerdict("inconclusive", ent_fraction=norm_ent / norm_D)
+
+
+def is_separable_operation(channel: Channel, d: int, budget: int = 500,
+                           seed: int = 0,
+                           tol: Tolerance = DEFAULT_TOL) -> SeparabilityVerdict:
+    """Semi-decision procedure for separability of a bipartite CP map.
+
+    The verdict of :func:`bsa_operation` (see ``OperationBsa.verdict``).
+    """
+    return bsa_operation(channel, d, budget=budget, seed=seed, tol=tol).verdict

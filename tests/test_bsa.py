@@ -7,7 +7,7 @@ from choiscope.bsa import (ProductVector, bipartite_choi, bsa_operation,
                            kraus_factor_split, max_lambda,
                            max_lambda_bisection, max_pair, osa_fixed_set)
 from choiscope.channels import Channel, identity_channel, mix
-from choiscope.errors import CandidateOutsideRange, NotAState
+from choiscope.errors import CandidateOutsideRange, NonConvergence, NotAState
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
                                   random_product_mixture, swap_channel,
                                   werner_state)
@@ -143,6 +143,18 @@ def test_osa_invariants(rng):
         assert abs(lam - max_lambda(rho_a, pv.vector)) < 1e-7
 
 
+@pytest.mark.parametrize("max_sweeps", [0, 1])
+def test_osa_sweep_cap_raises_nonconvergence(rng, max_sweeps):
+    rho = random_density(rng, 4)
+    V = candidate_products(rho, SH22, 40, seed=2)
+    # a negative sweep tolerance never counts as converged
+    with pytest.raises(NonConvergence) as info:
+        osa_fixed_set(rho, V, max_sweeps=max_sweeps, sweep_tol=-1.0, seed=3)
+    best = info.value.best
+    assert best is not None and best.lambda_total > 0
+    assert np.linalg.eigvalsh(best.residual)[0] >= -1e-8
+
+
 def test_osa_monotone_under_set_growth(rng):
     rho = random_density(rng, 4)
     V = candidate_products(rho, SH22, 30, seed=4)
@@ -248,3 +260,19 @@ def test_separability_verdicts(rng):
                [swap_channel(2), depolarizing_channel(4, 1.0)])
     verdict = is_separable_operation(weak, 2, budget=20, seed=0)
     assert verdict.kind == "inconclusive"
+
+
+def test_is_separable_operation_is_bsa_operation_verdict(rng):
+    U = np.linalg.qr(random_complex(rng, 2, 2))[0]
+    W = np.linalg.qr(random_complex(rng, 2, 2))[0]
+    for ch in (identity_channel(4), Channel.from_kraus([tensor(U, W)]),
+               swap_channel(2)):
+        verdict = is_separable_operation(ch, 2, budget=30, seed=4)
+        want = bsa_operation(ch, 2, budget=30, seed=4).verdict
+        assert verdict.kind == want.kind
+        assert verdict.ent_fraction == want.ent_fraction
+        assert (verdict.witness_kraus is None) == (want.witness_kraus is None)
+        if want.witness_kraus is not None:
+            assert len(verdict.witness_kraus) == len(want.witness_kraus)
+            for A, B in zip(verdict.witness_kraus, want.witness_kraus):
+                assert np.array_equal(A, B)

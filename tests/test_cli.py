@@ -77,14 +77,22 @@ def test_convert_transpose_to_kraus_fails(tmp_path):
     assert text is None
 
 
+# the flags that produced each golden report, after --seed 0
+BSA_GOLDEN_FLAGS = {
+    "singlet.json": ["--budget", "50"],
+    "maxmixed.json": ["--budget", "100"],
+    "random_cp4x4.json": ["--operation", "--budget", "5"],
+}
+
+
 @pytest.mark.parametrize("fixture,golden", [
     ("singlet.json", "bsa_singlet.json"),
     ("maxmixed.json", "bsa_maxmixed.json"),
+    ("random_cp4x4.json", "bsa_operation_random_cp4x4.json"),
 ])
 def test_bsa_golden(tmp_path, fixture, golden):
-    budget = "50" if fixture == "singlet.json" else "100"
     code, text = run(tmp_path, "bsa", str(FIXTURES / fixture),
-                     "--seed", "0", "--budget", budget)
+                     "--seed", "0", *BSA_GOLDEN_FLAGS[fixture])
     assert code == EXIT_OK
     assert text == (GOLDEN / golden).read_text(encoding="utf-8")
 
@@ -120,13 +128,14 @@ def test_bsa_operation_local_unitary(tmp_path):
 
 @pytest.mark.parametrize("fixture", ["identity2.json", "transpose2.json",
                                      "depolarizing2.json", "swap2.json",
-                                     "random_cp2.json"])
+                                     "random_cp2.json", "random_cp4x4.json"])
 def test_gen_fixtures_are_reproducible(tmp_path, fixture):
     argv = {"identity2.json": ["gen", "identity", "2"],
             "transpose2.json": ["gen", "transpose", "2"],
             "depolarizing2.json": ["gen", "depolarizing", "2", "--p", "0.5"],
             "swap2.json": ["gen", "swap", "2"],
-            "random_cp2.json": ["gen", "random-cp", "2", "--seed", "11"]}[fixture]
+            "random_cp2.json": ["gen", "random-cp", "2", "--seed", "11"],
+            "random_cp4x4.json": ["gen", "random-cp", "4", "--seed", "3"]}[fixture]
     code, text = run(tmp_path, *argv)
     assert code == EXIT_OK
     assert text == (FIXTURES / fixture).read_text(encoding="utf-8")
@@ -205,3 +214,38 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "inspect", str(src), "--tol", "1e-4",
                   name="c.json")
     assert code == EXIT_OK
+
+
+def test_inspect_reports_non_hermitian_state(tmp_path):
+    from choiscope.serialization import dump_state
+    rho = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
+    rho[0, 2] = 0.2  # Hermitian part has the off-diagonal pair 0.1
+    src = tmp_path / "skew.json"
+    src.write_text(dump_state(rho, (2, 2)), encoding="utf-8")
+    code, text = run(tmp_path, "inspect", str(src))
+    assert code == EXIT_INVALID
+    report = json.loads(text)
+    assert report["hermitian"] is False
+    want = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]
+    assert abs(report["min_eigenvalue"] - want) < 1e-12
+    assert report["min_eigenvalue"] < 0
+    assert report["positive_semidefinite"] is False
+
+
+@pytest.mark.parametrize("flags", [["--budget", "-3"], ["--tol", "-1"],
+                                   ["--tol", "0"], ["--tol", "nan"],
+                                   ["--tol", "inf"]])
+def test_bsa_rejects_bad_budget_and_tol(tmp_path, capsys, flags):
+    code, text = run(tmp_path, "bsa", str(FIXTURES / "maxmixed.json"),
+                     "--seed", "0", *flags)
+    assert code == EXIT_IO
+    assert text is None
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "abc"])
+def test_bad_env_tolerance_is_parse_error(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("CHOISCOPE_TOL", value)
+    code, text = run(tmp_path, "inspect", str(FIXTURES / "maxmixed.json"))
+    assert code == EXIT_IO
+    assert text is None
