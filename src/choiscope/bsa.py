@@ -24,8 +24,8 @@ from .channels import Channel
 from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NotAState, NotCompletelyPositive, ZeroMatrix)
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix, check_hermitian
-from .reshape import (BipartiteShape, devectorize, middle_swap,
-                      tensor, tensor_vectors, vectorize)
+from .reshape import (BipartiteShape, _middle_swap_index, devectorize,
+                      middle_swap, tensor, tensor_vectors, vectorize)
 from .numerics import svd_rank
 
 # Feasibility tolerances of the BSA optimizer; looser than the library
@@ -668,6 +668,12 @@ def choi_regroup_permutation(N: int) -> np.ndarray:
     return middle_swap(N)
 
 
+def _regroup(D: np.ndarray, d: int) -> np.ndarray:
+    """``P D P`` with ``P = choi_regroup_permutation(d)``, as an index permutation."""
+    p = _middle_swap_index(d)
+    return D[np.ix_(p, p)]
+
+
 def bipartite_choi(operators: Sequence[np.ndarray], d: int,
                    normalized: bool = False) -> np.ndarray:
     """Choi operator of a bipartite map in subsystem-grouped index order.
@@ -677,15 +683,15 @@ def bipartite_choi(operators: Sequence[np.ndarray], d: int,
     so E is the literal image of normalized maximally entangled
     projectors.
     """
-    P = middle_swap(d)
     n = d * d
-    E = np.zeros((n * n, n * n), dtype=complex)
-    for M in operators:
-        M = as_matrix(M)
+    ops = [as_matrix(M) for M in operators]
+    for M in ops:
         if M.shape != (n, n):
             raise DimensionMismatch(f"Kraus operator is {M.shape}, expected {(n, n)}")
-        w = P @ vectorize(M)
-        E += np.outer(w, w.conj())
+    p = _middle_swap_index(d)
+    # rows of W are the w_k, so sum_k w_k w_k^dag = W^t W^*
+    W = np.array([vectorize(M)[p] for M in ops], dtype=complex).reshape(len(ops), n * n)
+    E = W.T @ W.conj()
     return E / (d * d) if normalized else E
 
 
@@ -725,8 +731,7 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
     w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
     if w[0] < -tol.atol or np.max(np.abs(D - D.conj().T)) > 1e-8:
         raise NotCompletelyPositive("bsa_operation requires a CP map")
-    P = choi_regroup_permutation(d)
-    E = P @ D @ P
+    E = _regroup(D, d)
     trace = float(np.trace(E).real)
     if trace <= 0:
         raise NotCompletelyPositive("zero map has no BSA")
@@ -764,8 +769,7 @@ def _verdict(D, bsa_part: Channel, ent_part: Channel, d: int,
     if norm_ent <= 1e-6 * norm_D:
         return SeparabilityVerdict("separable",
                                    witness_kraus=tuple(bsa_part.kraus or ()))
-    P = choi_regroup_permutation(d)
-    residual = P @ ent_part.choi @ P
+    residual = _regroup(ent_part.choi, d)
     w, V = np.linalg.eigh((residual + residual.conj().T) / 2.0)
     support = np.sum(w > 1e-8 * max(w[-1], 1.0))
     if support == 1:

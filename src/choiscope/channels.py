@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotCompletelyPositive, ShapeMismatch
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eig_hermitian,
                        hs_inner)
-from .reshape import (BipartiteShape, devectorize, middle_swap,
+from .reshape import (BipartiteShape, _middle_swap_index, devectorize,
                       partial_trace_A, partial_trace_B, realign, swap_operator,
                       tensor, vectorize)
 
@@ -250,17 +250,17 @@ def mix(coeffs: Sequence[float], channels: Sequence[Channel]) -> Channel:
 def tensor_channels(phi: Channel, psi: Channel) -> Channel:
     """Product channel phi (x) psi on two identical N-dimensional systems.
 
-    Liouville route: ``(I(x)S(x)I)(L_phi (x) L_psi)(I(x)S(x)I)``.  Kraus
-    operators, when both factors carry them, are the pairwise type-I
-    tensors.
+    Liouville route: ``(I(x)S(x)I)(L_phi (x) L_psi)(I(x)S(x)I)``, applied
+    as an index permutation of rows and columns.  Kraus operators, when
+    both factors carry them, are the pairwise type-I tensors.
     """
     N = phi.d_in
     if not (phi.d_in == phi.d_out == psi.d_in == psi.d_out):
         raise DimensionMismatch("tensor_channels requires square channels")
     if psi.d_in != N:
         raise DimensionMismatch("tensor_channels requires equal subsystem dimensions")
-    P = middle_swap(N)
-    L = P @ tensor(phi.liouville, psi.liouville) @ P
+    p = _middle_swap_index(N)
+    L = tensor(phi.liouville, psi.liouville)[np.ix_(p, p)]
     kraus = None
     if phi.kraus is not None and psi.kraus is not None:
         kraus = tuple(tensor(G, H) for G in phi.kraus for H in psi.kraus)
@@ -287,13 +287,15 @@ def transpose_conjugations(channel: Channel, mode: str) -> Channel:
     """
     if channel.d_in != channel.d_out:
         raise ShapeMismatch("transpose conjugation requires a square channel")
-    S = swap_operator(channel.d_in)
+    N = channel.d_in
+    s = np.arange(N * N).reshape(N, N).T.reshape(-1)  # swap_operator(N) @ x == x[s]
+    L = channel.liouville
     if mode == "left":
-        L = S @ channel.liouville
+        L = L[s]
     elif mode == "right":
-        L = channel.liouville @ S
+        L = L[:, s]
     elif mode == "both":
-        L = S @ channel.liouville @ S
+        L = L[np.ix_(s, s)]
     else:
         raise ValueError(f"mode must be 'left', 'right' or 'both', got {mode!r}")
     return Channel.from_liouville(L, channel.d_in, channel.d_out)

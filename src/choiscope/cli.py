@@ -177,6 +177,8 @@ def cmd_bsa(args) -> int:
 
 def cmd_gen(args) -> int:
     name = args.name
+    if any(d < 1 for d in args.dims):
+        raise ParseError(f"gen: dimensions must be >= 1, got {args.dims}")
     if name in NAMED_CHANNELS:
         channel = NAMED_CHANNELS[name](args.dims[0])
         text = ser.dump_channel(channel, "kraus" if name != "transpose" else "liouville")

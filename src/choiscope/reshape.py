@@ -107,11 +107,8 @@ def swap_operator(N: int) -> np.ndarray:
     """Permutation matrix sum_ij |ij><ji| on an N x N bipartite system."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    S = np.zeros((N * N, N * N))
-    for i in range(N):
-        for j in range(N):
-            S[j * N + i, i * N + j] = 1.0
-    return S
+    # S[j*N + i, i*N + j] = 1: the identity with its two column factors swapped
+    return np.eye(N * N).reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
 
 
 def flip(Z, shape: BipartiteShape) -> np.ndarray:
@@ -244,3 +241,12 @@ def middle_swap(N: int) -> np.ndarray:
     the outside.
     """
     return np.kron(np.eye(N), np.kron(swap_operator(N), np.eye(N)))
+
+
+def _middle_swap_index(N: int) -> np.ndarray:
+    """Index vector p of :func:`middle_swap`: ``middle_swap(N) @ x == x[p]``.
+
+    The permutation is a symmetric involution, so
+    ``middle_swap(N) @ X @ middle_swap(N) == X[np.ix_(p, p)]``.
+    """
+    return np.arange(N ** 4).reshape(N, N, N, N).transpose(0, 2, 1, 3).reshape(-1)

@@ -10,6 +10,7 @@ serialize(parse(x)) byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,8 +51,9 @@ class ChannelFile:
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ParseError("non-finite value cannot be serialized")
-    s = "%.17g" % float(x)
-    return s
+    # the parser reads "-0" as the integer 0, so -0.0 is written as 0 to keep
+    # serialize(parse(x)) byte-identical
+    return "%.17g" % (float(x) + 0.0)
 
 
 def _emit(obj) -> str:
@@ -83,6 +85,25 @@ def matrix_to_lists(M) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` parse as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    """A JSON number (not a boolean) that converts to a finite float."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _reject_constant(name: str):
+    raise ParseError(f"invalid JSON: non-finite number {name} is not allowed")
+
+
 def _lists_to_matrix(data, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ParseError(f"{where}: expected a non-empty list of rows")
@@ -95,8 +116,9 @@ def _lists_to_matrix(data, where: str) -> np.ndarray:
         out = []
         for j, z in enumerate(row):
             if (not isinstance(z, list) or len(z) != 2
-                    or not all(isinstance(c, (int, float)) for c in z)):
-                raise ParseError(f"{where}[{i}][{j}]: expected an [re, im] pair")
+                    or not all(_is_finite_number(c) for c in z)):
+                raise ParseError(f"{where}[{i}][{j}]: expected an [re, im] pair "
+                                 "of finite numbers")
             out.append(complex(z[0], z[1]))
         rows.append(out)
     return np.array(rows, dtype=complex)
@@ -134,7 +156,7 @@ def dump_state(rho, dims) -> str:
 def parse_text(text: str) -> ChannelFile:
     """Parse file text; errors carry the offending position or key path."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
@@ -148,7 +170,7 @@ def parse_text(text: str) -> ChannelFile:
         raise ParseError(f"kind: expected one of {KINDS}, got {kind!r}")
     dims = doc.get("dims")
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(d, int) and d > 0 for d in dims)):
+            or not all(_is_int(d) and d > 0 for d in dims)):
         raise ParseError("dims: expected two positive integers")
     data = doc.get("data")
     if kind == "kraus":

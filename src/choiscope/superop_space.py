@@ -33,7 +33,8 @@ class OperatorBasis:
         N = els[0].shape[0]
         if any(E.shape != (N, N) for E in els) or len(els) != N * N:
             raise ShapeMismatch("basis must contain N^2 square N x N matrices")
-        gram = np.array([[hs_inner(A, B) for B in els] for A in els])
+        flat = np.stack(els).reshape(N * N, N * N)
+        gram = flat.conj() @ flat.T  # gram[a, b] = hs_inner(E_a, E_b)
         if np.max(np.abs(gram - np.eye(N * N))) > 1e-10:
             raise NotOrthonormal("basis Gram matrix deviates from identity")
 
@@ -118,14 +119,16 @@ class SuperopCoeffs:
 def coefficients(phi: Channel, E: OperatorBasis, F: OperatorBasis) -> SuperopCoeffs:
     """P and Q for a map: p_ab = <<E_a|L|F_b>>, q_ab = <E_a (x) F_b^*, L>."""
     L = phi.liouville
+    N = E.dim
     n = len(E)
     vE = np.column_stack([vectorize(M) for M in E])
     vF = np.column_stack([vectorize(M) for M in F])
     P = vE.conj().T @ L @ vF
-    Q = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            Q[a, b] = hs_inner(theta_liouville(E[a], F[b]), L)
+    # q_ab = sum conj(E_a[i, j]) F_b[k, l] L[k*N + i, l*N + j]: regroup L by
+    # (i, j) rows and (k, l) columns and contract with the row-major
+    # flattened basis elements
+    M = L.reshape(N, N, N, N).transpose(1, 3, 0, 2).reshape(n, n)
+    Q = np.stack(E.elements).reshape(n, n).conj() @ M @ np.stack(F.elements).reshape(n, n).T
     return SuperopCoeffs(P=P, Q=Q, E=E, F=F)
 
 

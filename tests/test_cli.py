@@ -249,3 +249,25 @@ def test_bad_env_tolerance_is_parse_error(tmp_path, monkeypatch, value):
     code, text = run(tmp_path, "inspect", str(FIXTURES / "maxmixed.json"))
     assert code == EXIT_IO
     assert text is None
+
+
+@pytest.mark.parametrize("entry", ["true", "NaN", "Infinity"])
+def test_inspect_rejects_boolean_and_non_finite_entries(tmp_path, capsys, entry):
+    text = (FIXTURES / "identity2.json").read_text(encoding="utf-8")
+    src = tmp_path / "bad.json"
+    src.write_text(text.replace("[[[[1,0]", f"[[[[{entry},0]", 1), encoding="utf-8")
+    code, report = run(tmp_path, "inspect", str(src))
+    assert code == EXIT_IO
+    assert report is None
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["identity", "0"], ["identity", "-1"],
+                                  ["depolarizing", "0"], ["swap", "0"],
+                                  ["random-cp", "2", "0", "--seed", "1"],
+                                  ["random-state", "0", "2", "--seed", "1"]])
+def test_gen_rejects_sizes_below_one(tmp_path, capsys, argv):
+    code, text = run(tmp_path, "gen", *argv)
+    assert code == EXIT_IO
+    assert text is None
+    assert "dimensions must be >= 1" in capsys.readouterr().err

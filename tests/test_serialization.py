@@ -71,6 +71,35 @@ def test_parse_rejections(text, fragment):
         parse_text(text)
 
 
+_STATE_1x1 = '{"format_version":"1","kind":"state","dims":%s,"data":[[[%s,0]]]}'
+
+
+@pytest.mark.parametrize("text,fragment", [
+    # JSON booleans parse as Python bool, a subclass of int
+    (_STATE_1x1 % ("[1,1]", "true"), r"data\[0\]\[0\]"),
+    (_STATE_1x1 % ("[1,1]", "false"), r"data\[0\]\[0\]"),
+    (_STATE_1x1 % ("[true,1]", "1"), "dims"),
+    (_STATE_1x1 % ("[1,true]", "1"), "dims"),
+    # non-finite tokens and numbers that overflow a float
+    (_STATE_1x1 % ("[1,1]", "NaN"), "non-finite number NaN"),
+    (_STATE_1x1 % ("[1,1]", "Infinity"), "non-finite number Infinity"),
+    (_STATE_1x1 % ("[1,1]", "-Infinity"), "non-finite number -Infinity"),
+    (_STATE_1x1 % ("[NaN,1]", "1"), "non-finite number NaN"),
+    (_STATE_1x1 % ("[1,1]", "1e999"), r"data\[0\]\[0\]"),
+    (_STATE_1x1 % ("[1,1]", "1" + "0" * 400), r"data\[0\]\[0\]"),
+])
+def test_parse_rejects_booleans_and_non_finite_numbers(text, fragment):
+    with pytest.raises(ParseError, match=fragment):
+        parse_text(text)
+
+
+def test_negative_zero_round_trip_byte_identical():
+    rho = np.array([[0.5, -0.0], [complex(-0.0, -0.0), 0.5]])
+    text = dump_state(rho, (1, 2))
+    assert "-0" not in text
+    assert dump_state(parse_text(text).to_state(), (1, 2)) == text
+
+
 def test_kind_mismatch_accessors():
     state_text = dump_state(np.eye(2) / 2, (1, 2))
     with pytest.raises(ParseError):
