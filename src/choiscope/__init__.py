@@ -7,9 +7,9 @@ best separable approximations of states and operations.
 
 from .bsa import (BsaDecomposition, OperationBsa, ProductVector,
                   SeparabilityVerdict, bipartite_choi, bsa_operation,
-                  bsa_state, candidate_products, choi_regroup_permutation,
-                  is_separable_operation, kraus_factor_split, max_lambda,
-                  max_lambda_bisection, max_pair, osa_fixed_set)
+                  bsa_state, candidate_products, is_separable_operation,
+                  kraus_factor_split, max_lambda, max_lambda_bisection,
+                  max_pair, osa_fixed_set)
 from .channels import (Channel, ValidationReport, apply, choi_to_kraus,
                        choi_to_liouville, compose, compose_choi, dual,
                        identity_channel, kraus_to_liouville,

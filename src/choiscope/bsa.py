@@ -25,8 +25,7 @@ from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NotAState, NotCompletelyPositive, ZeroMatrix)
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix, check_hermitian
 from .reshape import (BipartiteShape, _middle_swap_index, devectorize,
-                      middle_swap, tensor, tensor_vectors, vectorize)
-from .numerics import svd_rank
+                      product_factorize, tensor, tensor_vectors, vectorize)
 
 # Feasibility tolerances of the BSA optimizer; looser than the library
 # default because weights are accumulated over many subtractions.
@@ -84,7 +83,7 @@ class OperationBsa:
 
 def _check_state(rho, tol: Tolerance) -> np.ndarray:
     try:
-        rho = check_hermitian(rho, Tolerance(atol=1e-8, rtol=tol.rtol))
+        rho = check_hermitian(rho, Tolerance(atol=max(1e-8, tol.atol), rtol=tol.rtol))
     except Exception as exc:
         raise NotAState(str(exc)) from exc
     w = np.linalg.eigvalsh(rho)
@@ -93,17 +92,23 @@ def _check_state(rho, tol: Tolerance) -> np.ndarray:
     return rho
 
 
-def _max_lambda_raw(rho: np.ndarray, psi: np.ndarray, atol: float) -> float:
-    """Closed-form maximal weight; assumes rho Hermitian PSD, psi unit."""
+def _range(rho: np.ndarray, atol: float):
+    """Eigenvalues of rho above ``atol`` and their eigenvectors (columns)."""
     w, V = np.linalg.eigh(rho)
     keep = w > atol
-    if not np.any(keep):
+    return w[keep], V[:, keep]
+
+
+def _max_lambda_raw(factor, psi: np.ndarray) -> float:
+    """Closed-form maximal weight from the ``_range`` factor of rho; psi unit."""
+    w, cols = factor
+    if not w.size:
         return 0.0
-    c = V[:, keep].conj().T @ psi
+    c = cols.conj().T @ psi
     outside = 1.0 - float(np.sum(np.abs(c) ** 2))
     if outside > RANGE_TOL:
         return 0.0
-    val = float(np.sum(np.abs(c) ** 2 / w[keep]))
+    val = float(np.sum(np.abs(c) ** 2 / w))
     return 1.0 / val if val > 0 else 0.0
 
 
@@ -116,7 +121,7 @@ def max_lambda(rho, psi, tol: Tolerance = DEFAULT_TOL) -> float:
     rho = _check_state(rho, tol)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     psi = psi / np.linalg.norm(psi)
-    return _max_lambda_raw(rho, psi, tol.atol)
+    return _max_lambda_raw(_range(rho, tol.atol), psi)
 
 
 def max_lambda_bisection(rho, psi, iterations: int = 60,
@@ -168,47 +173,47 @@ def max_pair(rho, psi1, psi2, tol: Tolerance = DEFAULT_TOL,
 
 
 def _max_pair_raw(rho, psi1, psi2, P1, P2, atol, max_iter=100, seeds=()):
-    l1_seed = _max_lambda_raw(rho, psi1, atol)
-    l2_seed = _max_lambda_raw(rho, psi2, atol)
+    factor = _range(rho, atol)
+    l1_seed = _max_lambda_raw(factor, psi1)
+    l2_seed = _max_lambda_raw(factor, psi2)
     starts = [(l1_seed, 0.0), (0.0, l2_seed)] + list(seeds)
     best = (0.0, 0.0)
     for l1, l2 in starts:
         for _ in range(max_iter):
-            n1 = _max_lambda_raw(rho - l2 * P2, psi1, atol)
-            n2 = _max_lambda_raw(rho - n1 * P1, psi2, atol)
+            n1 = _max_lambda_raw(_range(rho - l2 * P2, atol), psi1)
+            n2 = _max_lambda_raw(_range(rho - n1 * P1, atol), psi2)
             if abs(n1 - l1) + abs(n2 - l2) < 1e-12:
                 l1, l2 = n1, n2
                 break
             l1, l2 = n1, n2
         if l1 + l2 > best[0] + best[1]:
             best = (l1, l2)
-    interior = _pair_interior(rho, psi1, psi2, P1, P2, atol)
+    interior = _pair_interior(rho, factor, psi1, psi2, P1, P2, atol)
     if interior is not None and interior[0] + interior[1] > best[0] + best[1]:
         best = interior
     return best
 
 
-def _pair_interior(rho, psi1, psi2, P1, P2, atol):
+def _pair_interior(rho, factor, psi1, psi2, P1, P2, atol):
     """Stationary point of l1 + l2 on the joint PSD boundary.
 
     With a = <1|rho^+|1>, b = <2|rho^+|2>, c = |<1|rho^+|2>| and
     d = ab - c^2, the sum-maximizing boundary point is
     l1 = (b - c)/d, l2 = (a - c)/d whenever both are positive (rank-one
     update of the inverse; both vectors must lie in range(rho)).
+    ``factor`` is the ``_range`` factor of rho.
     """
-    w, V = np.linalg.eigh(rho)
-    keep = w > atol
-    if not np.any(keep):
+    w, cols = factor
+    if not w.size:
         return None
-    cols = V[:, keep]
     c1 = cols.conj().T @ psi1
     c2 = cols.conj().T @ psi2
     if (1.0 - float(np.sum(np.abs(c1) ** 2)) > RANGE_TOL
             or 1.0 - float(np.sum(np.abs(c2) ** 2)) > RANGE_TOL):
         return None
-    a = float(np.sum(np.abs(c1) ** 2 / w[keep]))
-    b = float(np.sum(np.abs(c2) ** 2 / w[keep]))
-    c = abs(np.sum(c1.conj() * c2 / w[keep]))
+    a = float(np.sum(np.abs(c1) ** 2 / w))
+    b = float(np.sum(np.abs(c2) ** 2 / w))
+    c = abs(np.sum(c1.conj() * c2 / w))
     d = a * b - c * c
     if d <= 1e-300 or a <= c or b <= c:
         return None
@@ -218,38 +223,34 @@ def _pair_interior(rho, psi1, psi2, P1, P2, atol):
     return (l1, l2)
 
 
-def _range_projector(rho: np.ndarray, atol: float):
-    w, V = np.linalg.eigh(rho)
-    cols = V[:, w > atol]
-    return cols @ cols.conj().T, cols.shape[1]
+def _best_product_overlaps(B4, e, f, iters=80, pick=-1):
+    """Alternating eigenvector iterations on <e f|B|e f> for a fixed B.
 
-
-def _best_product_overlaps(Pi4, e, f, iters=80):
-    """Alternating power iterations maximizing <e f|Pi|e f> for fixed Pi.
-
-    ``Pi4`` is the range projector reshaped to (u, m, v, n) axes; ``e``
-    and ``f`` stack one start per row.  Each row stops on its own once
-    its overlap changes by less than 1e-13, or after ``iters`` rounds.
+    ``B4`` is the Hermitian matrix B reshaped to (u, m, v, n) axes; ``e``
+    and ``f`` stack one start per row.  Each round replaces e, then f, by
+    the eigenvector in column ``pick`` of the reduced matrix: ``-1``
+    maximizes the value, ``0`` minimizes it.  Each row stops on its own
+    once its value changes by less than 1e-13, or after ``iters`` rounds.
     """
     e, f = e.copy(), f.copy()
-    overlap = np.full(len(e), -1.0)
+    value = np.full(len(e), np.inf)
     active = np.arange(len(e))
     for _ in range(iters):
         fa = f[active]
-        M = np.einsum("bu,umvn,bv->bmn", fa.conj(), Pi4, fa)
+        M = np.einsum("bu,umvn,bv->bmn", fa.conj(), B4, fa)
         _, Ve = np.linalg.eigh((M + M.conj().transpose(0, 2, 1)) / 2.0)
-        ea = Ve[:, :, -1]
-        M = np.einsum("bm,umvn,bn->buv", ea.conj(), Pi4, ea)
+        ea = Ve[:, :, pick]
+        M = np.einsum("bm,umvn,bn->buv", ea.conj(), B4, ea)
         wf, Vf = np.linalg.eigh((M + M.conj().transpose(0, 2, 1)) / 2.0)
         e[active] = ea
-        f[active] = Vf[:, :, -1]
-        new = wf[:, -1]
-        converged = np.abs(new - overlap[active]) < 1e-13
-        overlap[active] = new
+        f[active] = Vf[:, :, pick]
+        new = wf[:, pick]
+        converged = np.abs(new - value[active]) < 1e-13
+        value[active] = new
         active = active[~converged]
         if not active.size:
             break
-    return e, f, overlap
+    return e, f, value
 
 
 def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
@@ -268,8 +269,9 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     if rho.shape != (shape.dim, shape.dim):
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
     rng = np.random.default_rng(seed)
-    Pi, rank = _range_projector(rho, tol.atol)
-    full_range = rank == shape.dim
+    _, cols = _range(rho, tol.atol)
+    Pi = cols @ cols.conj().T
+    full_range = cols.shape[1] == shape.dim
     dA, dB = shape.d_A, shape.d_B
     Pi4 = Pi.reshape(dB, dA, dB, dA)
     kept: list[ProductVector] = []
@@ -311,19 +313,25 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
 
 def _assemble(rho, lambdas, V, residual, candidate_set_size) -> BsaDecomposition:
     total = float(np.sum(lambdas))
-    d = rho.shape[0]
+    sep = np.zeros(rho.shape, dtype=complex)
     if total > 0:
-        sep = np.zeros((d, d), dtype=complex)
         for lam, pv in zip(lambdas, V):
             if lam > 0:
                 sep += lam * pv.projector
         sep /= total
-    else:
-        sep = np.zeros((d, d), dtype=complex)
     terms = tuple((float(lam), pv) for lam, pv in zip(lambdas, V) if lam > 1e-12)
     return BsaDecomposition(lambda_total=total, terms=terms,
                             separable_part=sep, residual=residual,
                             candidate_set_size=candidate_set_size)
+
+
+def _residual(rho, lambdas, projs) -> np.ndarray:
+    """rho minus the positively weighted projectors, summed from scratch."""
+    delta = rho.astype(complex)
+    for lam, P in zip(lambdas, projs):
+        if lam > 0:
+            delta -= lam * P
+    return delta
 
 
 def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
@@ -334,28 +342,27 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
     Sweeps single-projector weight updates, then a random subset of
     projector-pair updates, optionally re-optimizing the product vectors
     of weighted terms in place.  The total weight is nondecreasing.
-    Mutates ``V`` and ``lambdas``; returns the residual.
+    Mutates ``V`` and ``lambdas``; returns the residual and whether
+    the sweeps converged.
     """
     vecs = [pv.vector for pv in V]
     projs = [np.outer(v, v.conj()) for v in vecs]
-    delta = rho.astype(complex).copy()
-    for lam, P in zip(lambdas, projs):
-        if lam > 0:
-            delta -= lam * P
+    delta = _residual(rho, lambdas, projs)
     total = float(np.sum(lambdas))
     last_gain = np.inf  # no sweep run: not converged
     for sweep in range(max_sweeps):
         for a in range(len(V)):
             rho_a = delta + lambdas[a] * projs[a]
+            factor = _range(rho_a, tol.atol)
             if vector_update and lambdas[a] > 1e-10:
-                improved = _improve_term(rho_a, V[a], shape, tol)
+                improved = _improve_term(factor, V[a], shape)
                 if improved is not None:
-                    lam_new = _max_lambda_raw(rho_a, improved.vector, tol.atol)
+                    lam_new = _max_lambda_raw(factor, improved.vector)
                     if lam_new > lambdas[a]:
                         V[a] = improved
                         vecs[a] = improved.vector
                         projs[a] = improved.projector
-            new = _max_lambda_raw(rho_a, vecs[a], tol.atol)
+            new = _max_lambda_raw(factor, vecs[a])
             # the current weight is feasible, so a smaller value can only
             # come from the range test rejecting a boundary vector; keep it
             if new > lambdas[a]:
@@ -381,10 +388,7 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
                     delta = rho_ab - l1 * projs[a] - l2 * projs[b]
                     lambdas[a], lambdas[b] = l1, l2
         # refresh the residual from scratch to stop error accumulation
-        delta = rho.astype(complex).copy()
-        for lam, P in zip(lambdas, projs):
-            if lam > 0:
-                delta -= lam * P
+        delta = _residual(rho, lambdas, projs)
         new_total = float(np.sum(lambdas))
         if trace is not None:
             trace.append(new_total)
@@ -395,6 +399,49 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
     return delta, last_gain <= 1e-6
 
 
+def _barrier_ascent(rho, x, sigma_of, maxiter: int) -> np.ndarray:
+    """Maximize tr(sigma(x)) + mu*log det(rho - sigma(x) + eps) over x.
+
+    L-BFGS along a decreasing (mu, eps) barrier schedule, each stage
+    warm-started from the last.  ``sigma_of(x)`` returns ``(sigma,
+    tr_sigma, pullback)`` with ``pullback(Minv, mu)`` the gradient in x
+    of the objective, given ``Minv = (rho - sigma + eps)^-1``.
+    """
+    from scipy.optimize import minimize
+
+    d = rho.shape[0]
+
+    def objective(x, mu, eps):
+        sigma, tr_sigma, pullback = sigma_of(x)
+        M = rho - sigma + eps * np.eye(d)
+        ev, Q = np.linalg.eigh(M)
+        if ev[0] <= 0:
+            return 1e6 * (1.0 - ev[0]), np.zeros_like(x)
+        F = tr_sigma + mu * float(np.sum(np.log(ev)))
+        Minv = (Q / ev) @ Q.conj().T
+        return -F, -pullback(Minv, mu)
+
+    for mu, eps in [(1e-2, 1e-3), (1e-3, 1e-4), (1e-4, 1e-5),
+                    (1e-5, 1e-6), (1e-6, 1e-8)]:
+        x = minimize(objective, x, args=(mu, eps), jac=True,
+                     method="L-BFGS-B", options={"maxiter": maxiter}).x
+    return x
+
+
+def _psd_scale(rho, sigma) -> float:
+    """Largest t in [0, 1] with rho - t*sigma PSD (to -1e-12), by bisection."""
+    if np.linalg.eigvalsh(rho - sigma)[0] >= -1e-12:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = (lo + hi) / 2.0
+        if np.linalg.eigvalsh(rho - mid * sigma)[0] >= -1e-12:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _fixed_weights_barrier(rho, vecs, rng) -> np.ndarray:
     """Near-optimal weights for a fixed projector set.
 
@@ -402,42 +449,21 @@ def _fixed_weights_barrier(rho, vecs, rng) -> np.ndarray:
     log-det barrier makes it smooth and the optimum global.  Weights are
     parameterized as squares to keep them nonnegative.
     """
-    from scipy.optimize import minimize
-
-    d = rho.shape[0]
     Vm = np.asarray(vecs)  # K x d
 
-    def objective(x, mu, eps):
+    def sigma_of(x):
         w = x * x
         sigma = np.einsum("k,ki,kj->ij", w, Vm, Vm.conj())
-        M = rho - sigma + eps * np.eye(d)
-        ev, Q = np.linalg.eigh(M)
-        if ev[0] <= 0:
-            return 1e6 * (1.0 - ev[0]), np.zeros_like(x)
-        F = float(np.sum(w)) + mu * float(np.sum(np.log(ev)))
-        Minv = (Q / ev) @ Q.conj().T
-        q = np.einsum("ki,ij,kj->k", Vm.conj(), Minv, Vm).real
-        grad = 2.0 * x * (1.0 - mu * q)
-        return -F, -grad
 
-    x = 1e-3 * (1.0 + rng.random(Vm.shape[0]))
-    for mu, eps in [(1e-2, 1e-3), (1e-3, 1e-4), (1e-4, 1e-5),
-                    (1e-5, 1e-6), (1e-6, 1e-8)]:
-        x = minimize(objective, x, args=(mu, eps), jac=True,
-                     method="L-BFGS-B", options={"maxiter": 400}).x
-    w = x * x
-    sigma = np.einsum("k,ki,kj->ij", w, Vm, Vm.conj())
-    lo, hi = 0.0, 1.0
-    if np.linalg.eigvalsh(rho - sigma)[0] >= -1e-12:
-        lo = 1.0
-    else:
-        for _ in range(50):
-            mid = (lo + hi) / 2.0
-            if np.linalg.eigvalsh(rho - mid * sigma)[0] >= -1e-12:
-                lo = mid
-            else:
-                hi = mid
-    return w * lo
+        def pullback(Minv, mu):
+            q = np.einsum("ki,ij,kj->k", Vm.conj(), Minv, Vm).real
+            return 2.0 * x * (1.0 - mu * q)
+
+        return sigma, float(np.sum(w)), pullback
+
+    x = _barrier_ascent(rho, 1e-3 * (1.0 + rng.random(Vm.shape[0])), sigma_of,
+                        maxiter=400)
+    return x * x * _psd_scale(rho, sigma_of(x)[0])
 
 
 def osa_fixed_set(rho, V: Sequence[ProductVector],
@@ -455,7 +481,8 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     """
     rho = _check_state(rho, tol)
     V = list(V)
-    Pi, _ = _range_projector(rho, tol.atol)
+    _, cols = _range(rho, tol.atol)
+    Pi = cols @ cols.conj().T
     for pv in V:
         v = pv.vector
         if float(np.vdot(v, Pi @ v).real) < 1.0 - 1e-6:
@@ -497,8 +524,6 @@ def _barrier_terms(rho, shape: BipartiteShape, K: int, rng,
     ascent near high-weight directions; the output is only a proposal,
     feasibility is re-certified downstream.
     """
-    from scipy.optimize import minimize
-
     dA, dB, d = shape.d_A, shape.d_B, shape.dim
     n, m = K * dA, K * dB
 
@@ -507,24 +532,21 @@ def _barrier_terms(rho, shape: BipartiteShape, K: int, rng,
         b = (x[2 * n:2 * n + m] + 1j * x[2 * n + m:]).reshape(K, dB)
         return a, b
 
-    def objective(x, mu, eps):
+    def sigma_of(x):
         a, b = unpack(x)
         vs = np.einsum("ku,km->kum", b, a).reshape(K, d)
         sigma = np.einsum("ki,kj->ij", vs, vs.conj())
-        M = rho - sigma + eps * np.eye(d)
-        w, Q = np.linalg.eigh(M)
-        if w[0] <= 0:
-            return 1e6 * (1.0 - w[0]), np.zeros_like(x)
-        F = float(np.trace(sigma).real) + mu * float(np.sum(np.log(w)))
-        Minv = (Q / w) @ Q.conj().T
-        G = np.eye(d) - mu * Minv
-        gv = 2.0 * np.einsum("ij,kj->ki", G, vs)
-        gv3 = gv.reshape(K, dB, dA)
-        ga = np.einsum("kum,ku->km", gv3, b.conj())
-        gb = np.einsum("kum,km->ku", gv3, a.conj())
-        grad = np.concatenate([ga.real.ravel(), ga.imag.ravel(),
-                               gb.real.ravel(), gb.imag.ravel()])
-        return -F, -grad
+
+        def pullback(Minv, mu):
+            G = np.eye(d) - mu * Minv
+            gv = 2.0 * np.einsum("ij,kj->ki", G, vs)
+            gv3 = gv.reshape(K, dB, dA)
+            ga = np.einsum("kum,ku->km", gv3, b.conj())
+            gb = np.einsum("kum,km->ku", gv3, a.conj())
+            return np.concatenate([ga.real.ravel(), ga.imag.ravel(),
+                                   gb.real.ravel(), gb.imag.ravel()])
+
+        return sigma, float(np.trace(sigma).real), pullback
 
     a0 = 0.05 * (rng.normal(size=(K, dA)) + 1j * rng.normal(size=(K, dA)))
     b0 = 0.05 * (rng.normal(size=(K, dB)) + 1j * rng.normal(size=(K, dB)))
@@ -536,63 +558,35 @@ def _barrier_terms(rho, shape: BipartiteShape, K: int, rng,
         b0[k] = scale * pv.f
     x = np.concatenate([a0.real.ravel(), a0.imag.ravel(),
                         b0.real.ravel(), b0.imag.ravel()])
-    for mu, eps in [(1e-2, 1e-3), (1e-3, 1e-4), (1e-4, 1e-5),
-                    (1e-5, 1e-6), (1e-6, 1e-8)]:
-        x = minimize(objective, x, args=(mu, eps), jac=True,
-                     method="L-BFGS-B", options={"maxiter": 300}).x
-    a, b = unpack(x)
+    a, b = unpack(_barrier_ascent(rho, x, sigma_of, maxiter=300))
     weights = (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)) ** 2
     terms = [(float(w), ProductVector(a[k], b[k]))
              for k, w in enumerate(weights) if w > 1e-12]
     if not terms:
         return []
     # global rescale onto the PSD-feasible segment
-    sigma = np.zeros((d, d), dtype=complex)
-    for w, pv in terms:
-        sigma += w * pv.projector
-    lo, hi = 0.0, 1.0
-    if np.linalg.eigvalsh(rho - sigma)[0] >= -1e-12:
-        lo = 1.0
-    else:
-        for _ in range(50):
-            mid = (lo + hi) / 2.0
-            if np.linalg.eigvalsh(rho - mid * sigma)[0] >= -1e-12:
-                lo = mid
-            else:
-                hi = mid
-    return [(w * lo, pv) for w, pv in terms]
+    t = _psd_scale(rho, sum(w * pv.projector for w, pv in terms))
+    return [(w * t, pv) for w, pv in terms]
 
 
-def _improve_term(rho_a, pv: ProductVector, shape: BipartiteShape,
-                  tol: Tolerance, iters: int = 40) -> Optional[ProductVector]:
+def _improve_term(factor, pv: ProductVector,
+                  shape: BipartiteShape) -> Optional[ProductVector]:
     """Maximize the subtractable weight of one product direction.
 
     Minimizes ``<e f| rho_a^+ |e f>`` over product vectors in the range
-    of ``rho_a``; out-of-range components are suppressed by a penalty.
+    of ``rho_a``, given its ``_range`` factor; out-of-range components
+    are suppressed by a penalty.
     """
-    w, Vc = np.linalg.eigh(rho_a)
-    keep = w > tol.atol
-    if not np.any(keep):
+    w, cols = factor
+    if not w.size:
         return None
-    cols = Vc[:, keep]
-    pinv = (cols / w[keep]) @ cols.conj().T
-    penalty = 1e8 / max(float(w[keep].min()), 1e-30)
-    B = pinv + penalty * (np.eye(rho_a.shape[0]) - cols @ cols.conj().T)
+    pinv = (cols / w) @ cols.conj().T
+    penalty = 1e8 / max(float(w.min()), 1e-30)
+    B = pinv + penalty * (np.eye(shape.dim) - cols @ cols.conj().T)
     B4 = B.reshape(shape.d_B, shape.d_A, shape.d_B, shape.d_A)
-    e, f = pv.e.copy(), pv.f.copy()
-    value = np.inf
-    for _ in range(iters):
-        M = np.einsum("u,umvn,v->mn", f.conj(), B4, f)
-        _, Ve = np.linalg.eigh((M + M.conj().T) / 2.0)
-        e = Ve[:, 0]
-        M = np.einsum("m,umvn,n->uv", e.conj(), B4, e)
-        wf, Vf = np.linalg.eigh((M + M.conj().T) / 2.0)
-        f = Vf[:, 0]
-        new = float(wf[0].real)
-        if abs(new - value) < 1e-13:
-            break
-        value = new
-    return ProductVector(e, f)
+    e, f, _ = _best_product_overlaps(B4, pv.e[None], pv.f[None], iters=40,
+                                     pick=0)
+    return ProductVector(e[0], f[0])
 
 
 def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
@@ -610,11 +604,10 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
         raise NotAState("bsa_state expects a normalized (trace-1) state")
-    w, Vc = np.linalg.eigh(rho)
-    if np.sum(w > tol.atol) == 1:
+    w, cols = _range(rho, tol.atol)
+    if w.size == 1:
         # pure state: Lambda is 1 for a product vector, 0 otherwise
-        v = Vc[:, -1]
-        factors = _schmidt_factors(v, shape, tol)
+        factors = _schmidt_factors(cols[:, 0], shape, tol)
         if factors is None:
             return BsaDecomposition(0.0, (), np.zeros_like(rho), rho.astype(complex), 0)
         pv = ProductVector(*factors)
@@ -658,18 +651,13 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
     return _assemble(rho, lam_b, V_b, delta_b, len(V_b))
 
 
-def choi_regroup_permutation(N: int) -> np.ndarray:
-    """Permutation taking D_Phi to the (A1 A2 | B1 B2)-grouped Choi operator.
-
-    The Choi matrix of a map on an N (x) N bipartite system indexes its
-    rows by (output, input) pairs; regrouping by subsystem instead is the
-    middle-factor swap, so ``E = P D P`` with ``P = middle_swap(N)``.
-    """
-    return middle_swap(N)
-
-
 def _regroup(D: np.ndarray, d: int) -> np.ndarray:
-    """``P D P`` with ``P = choi_regroup_permutation(d)``, as an index permutation."""
+    """Choi matrix regrouped by subsystem: ``P D P`` with ``P = middle_swap(d)``.
+
+    The Choi matrix of a map on a d (x) d bipartite system indexes its
+    rows by (output, input) pairs; regrouping by subsystem instead is the
+    middle-factor swap, applied here as an index permutation.
+    """
     p = _middle_swap_index(d)
     return D[np.ix_(p, p)]
 
@@ -702,21 +690,13 @@ def kraus_factor_split(operators: Sequence[np.ndarray], shape: BipartiteShape,
     for M in operators:
         M = as_matrix(M)
         try:
-            if product_factorize_is_product(M, shape, tol):
+            if product_factorize(M, shape, tol) is not None:
                 product.append(M)
             else:
                 rest.append(M)
         except ZeroMatrix:
             product.append(M)
     return product, rest
-
-
-def product_factorize_is_product(M, shape: BipartiteShape,
-                                 tol: Tolerance = DEFAULT_TOL) -> bool:
-    from .reshape import realign
-    if not np.any(np.abs(M) > 0):
-        raise ZeroMatrix("zero operator")
-    return svd_rank(realign(M, shape), tol) == 1
 
 
 def bsa_operation(channel: Channel, d: int, budget: int = 500,
@@ -729,7 +709,7 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
             f"{channel.d_in} -> {channel.d_out}")
     D = channel.choi
     w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
-    if w[0] < -tol.atol or np.max(np.abs(D - D.conj().T)) > 1e-8:
+    if w[0] < -tol.atol or np.max(np.abs(D - D.conj().T)) > max(1e-8, tol.atol):
         raise NotCompletelyPositive("bsa_operation requires a CP map")
     E = _regroup(D, d)
     trace = float(np.trace(E).real)
@@ -738,16 +718,10 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
     rho_E = (E + E.conj().T) / (2.0 * trace)
     shape = BipartiteShape(n, n)
     dec = bsa_state(rho_E, shape, budget=budget, seed=seed, tol=tol)
-    kraus = []
-    for lam, pv in dec.terms:
-        scale = np.sqrt(trace * lam)
-        A = devectorize(pv.e, d, d)
-        B = devectorize(pv.f, d, d)
-        kraus.append(scale * tensor(A, B))
-    if kraus:
-        bsa_part = Channel.from_kraus(kraus)
-    else:
-        bsa_part = Channel.from_kraus([np.zeros((n, n))])
+    kraus = [np.sqrt(trace * lam) * tensor(devectorize(pv.e, d, d),
+                                           devectorize(pv.f, d, d))
+             for lam, pv in dec.terms]
+    bsa_part = Channel.from_kraus(kraus or [np.zeros((n, n))])
     ent_choi = D - bsa_part.choi
     ent_part = Channel.from_choi(ent_choi, n, n)
     return OperationBsa(bsa_part=bsa_part, ent_part=ent_part,

@@ -267,18 +267,6 @@ def tensor_channels(phi: Channel, psi: Channel) -> Channel:
     return Channel(L, N * N, N * N, liouville_to_choi(L, N * N, N * N), kraus=kraus)
 
 
-def realign_image_identity_check(phi: Channel, psi: Channel, rho,
-                                 atol: float = 1e-9) -> bool:
-    """Check R(sigma) = L_phi R(rho) L_psi^t for sigma = (phi (x) psi)(rho)."""
-    N = phi.d_in
-    sh = BipartiteShape(N, N)
-    rho = as_matrix(rho)
-    sigma = apply(tensor_channels(phi, psi), rho, route="liouville")
-    lhs = realign(sigma, sh)
-    rhs = phi.liouville @ realign(rho, sh) @ psi.liouville.T
-    return float(np.max(np.abs(lhs - rhs))) <= atol
-
-
 def transpose_conjugations(channel: Channel, mode: str) -> Channel:
     """Conjugate the channel by the transpose map.
 
@@ -299,26 +287,6 @@ def transpose_conjugations(channel: Channel, mode: str) -> Channel:
     else:
         raise ValueError(f"mode must be 'left', 'right' or 'both', got {mode!r}")
     return Channel.from_liouville(L, channel.d_in, channel.d_out)
-
-
-def choi_from_definition(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix by direct evaluation of (phi (x) id)(|I>><<I|).
-
-    Builds ``sum_{uv} phi(|u><v|) (x) |u><v|`` from the Kraus action; an
-    independent oracle for the ``D = R(L)`` convention.
-    """
-    ops = [as_matrix(G) for G in operators]
-    d_out, d_in = ops[0].shape
-    D = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    for u in range(d_in):
-        for v in range(d_in):
-            E = np.zeros((d_in, d_in), dtype=complex)
-            E[u, v] = 1.0
-            image = np.zeros((d_out, d_out), dtype=complex)
-            for G in ops:
-                image += G @ E @ G.conj().T
-            D += tensor(image, E)
-    return D
 
 
 def superop_hs_inner(phi: Channel, psi: Channel) -> complex:

@@ -181,24 +181,6 @@ def realign_prime(Z, shape: BipartiteShape) -> np.ndarray:
     return four.transpose(0, 2, 1, 3).reshape(N * N, N * N)
 
 
-def realign_sandwich(Z, shape: BipartiteShape) -> np.ndarray:
-    """Independent evaluation of R via sum_ij (I(x)|i><j|) Z (|i><j|(x)I).
-
-    Square shapes only; used as an oracle against :func:`realign`.
-    """
-    shape.require_square_subsystems()
-    Z = _as_bipartite(Z, shape)
-    N = shape.d_A
-    I = np.eye(N)
-    out = np.zeros_like(Z)
-    for i in range(N):
-        for j in range(N):
-            Eij = np.zeros((N, N))
-            Eij[i, j] = 1.0
-            out += tensor(I, Eij) @ Z @ tensor(Eij, I)
-    return out
-
-
 def product_factorize(Z, shape: BipartiteShape, tol: Tolerance = DEFAULT_TOL):
     """Recover (X, Y) with Z = tensor(X, Y), or None if Z is not a product.
 
@@ -219,18 +201,6 @@ def product_factorize(Z, shape: BipartiteShape, tol: Tolerance = DEFAULT_TOL):
     X = devectorize(x, shape.d_A, shape.d_A)
     Y = devectorize(y_star, shape.d_B, shape.d_B).conj()
     return X, Y
-
-
-def tensor_vec_identity_check(X, Y, atol: float = 1e-10) -> bool:
-    """Check |X(x)Y>> == (I(x)S(x)I)(|X>> (x) |Y>>) for square X, Y."""
-    X = as_matrix(X)
-    Y = as_matrix(Y)
-    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
-        raise ShapeMismatch("X and Y must be square and of equal size")
-    N = X.shape[0]
-    lhs = vectorize(tensor(X, Y))
-    rhs = middle_swap(N) @ tensor_vectors(vectorize(X), vectorize(Y))
-    return float(np.max(np.abs(lhs - rhs))) <= atol
 
 
 def middle_swap(N: int) -> np.ndarray:

@@ -11,14 +11,13 @@ that converts between them, and the tensor-space embedding
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .channels import Channel, apply
 from .errors import NotOrthonormal, ShapeMismatch
 from .numerics import as_matrix, hs_inner
-from .reshape import devectorize, swap_operator, tensor, vectorize
+from .reshape import devectorize, tensor, vectorize
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,12 @@ class SuperopCoeffs:
 
 def coefficients(phi: Channel, E: OperatorBasis, F: OperatorBasis) -> SuperopCoeffs:
     """P and Q for a map: p_ab = <<E_a|L|F_b>>, q_ab = <E_a (x) F_b^*, L>."""
+    N = phi.d_in
+    if phi.d_out != N or E.dim != N or F.dim != N:
+        raise ShapeMismatch(
+            f"coefficients need a square channel and bases of its dimension; "
+            f"got {phi.d_in} -> {phi.d_out} with bases of dim {E.dim}, {F.dim}")
     L = phi.liouville
-    N = E.dim
     n = len(E)
     vE = np.column_stack([vectorize(M) for M in E])
     vF = np.column_stack([vectorize(M) for M in F])
@@ -158,17 +161,3 @@ def lambda_iso(phi: Channel, E: OperatorBasis, F: OperatorBasis) -> np.ndarray:
         out += tensor(apply(phi, E_a, route="liouville"), F_a)
     return out
 
-
-def basis_resolution_checks(basis: OperatorBasis, atol: float = 1e-9) -> bool:
-    """Check sum_a E_a (x) E_a^* = |I>><<I| and sum_a E_a (x) E_a^dag = S."""
-    N = basis.dim
-    acc_star = np.zeros((N * N, N * N), dtype=complex)
-    acc_dag = np.zeros((N * N, N * N), dtype=complex)
-    for E in basis:
-        acc_star += tensor(E, E.conj())
-        acc_dag += tensor(E, E.conj().T)
-    vec_I = vectorize(np.eye(N))
-    dyad = np.outer(vec_I, vec_I.conj())
-    S = swap_operator(N)
-    return (float(np.max(np.abs(acc_star - dyad))) <= atol
-            and float(np.max(np.abs(acc_dag - S))) <= atol)

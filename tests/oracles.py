@@ -1,0 +1,159 @@
+"""Independent oracles for the tests.
+
+Each function here computes a library result by a second route: a
+direct sum over basis elements, an explicit identity, or the reference
+loop or closed form that a merged library helper must agree with.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from choiscope.channels import Channel, apply, tensor_channels
+from choiscope.errors import ShapeMismatch
+from choiscope.numerics import as_matrix
+from choiscope.reshape import (BipartiteShape, middle_swap, realign,
+                               swap_operator, tensor, tensor_vectors,
+                               vectorize)
+from choiscope.superop_space import OperatorBasis
+
+
+def realign_sandwich(Z, shape: BipartiteShape) -> np.ndarray:
+    """Independent evaluation of R via sum_ij (I(x)|i><j|) Z (|i><j|(x)I).
+
+    Square shapes only; used as an oracle against ``realign``.
+    """
+    shape.require_square_subsystems()
+    Z = as_matrix(Z)
+    N = shape.d_A
+    I = np.eye(N)
+    out = np.zeros_like(Z)
+    for i in range(N):
+        for j in range(N):
+            Eij = np.zeros((N, N))
+            Eij[i, j] = 1.0
+            out += tensor(I, Eij) @ Z @ tensor(Eij, I)
+    return out
+
+
+def tensor_vec_identity_check(X, Y, atol: float = 1e-10) -> bool:
+    """Check |X(x)Y>> == (I(x)S(x)I)(|X>> (x) |Y>>) for square X, Y."""
+    X = as_matrix(X)
+    Y = as_matrix(Y)
+    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
+        raise ShapeMismatch("X and Y must be square and of equal size")
+    N = X.shape[0]
+    lhs = vectorize(tensor(X, Y))
+    rhs = middle_swap(N) @ tensor_vectors(vectorize(X), vectorize(Y))
+    return float(np.max(np.abs(lhs - rhs))) <= atol
+
+
+def realign_image_identity_check(phi: Channel, psi: Channel, rho,
+                                 atol: float = 1e-9) -> bool:
+    """Check R(sigma) = L_phi R(rho) L_psi^t for sigma = (phi (x) psi)(rho)."""
+    N = phi.d_in
+    sh = BipartiteShape(N, N)
+    rho = as_matrix(rho)
+    sigma = apply(tensor_channels(phi, psi), rho, route="liouville")
+    lhs = realign(sigma, sh)
+    rhs = phi.liouville @ realign(rho, sh) @ psi.liouville.T
+    return float(np.max(np.abs(lhs - rhs))) <= atol
+
+
+def choi_from_definition(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """Choi matrix by direct evaluation of (phi (x) id)(|I>><<I|).
+
+    Builds ``sum_{uv} phi(|u><v|) (x) |u><v|`` from the Kraus action; an
+    independent oracle for the ``D = R(L)`` convention.
+    """
+    ops = [as_matrix(G) for G in operators]
+    d_out, d_in = ops[0].shape
+    D = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
+    for u in range(d_in):
+        for v in range(d_in):
+            E = np.zeros((d_in, d_in), dtype=complex)
+            E[u, v] = 1.0
+            image = np.zeros((d_out, d_out), dtype=complex)
+            for G in ops:
+                image += G @ E @ G.conj().T
+            D += tensor(image, E)
+    return D
+
+
+def basis_resolution_checks(basis: OperatorBasis, atol: float = 1e-9) -> bool:
+    """Check sum_a E_a (x) E_a^* = |I>><<I| and sum_a E_a (x) E_a^dag = S."""
+    N = basis.dim
+    acc_star = np.zeros((N * N, N * N), dtype=complex)
+    acc_dag = np.zeros((N * N, N * N), dtype=complex)
+    for E in basis:
+        acc_star += tensor(E, E.conj())
+        acc_dag += tensor(E, E.conj().T)
+    vec_I = vectorize(np.eye(N))
+    dyad = np.outer(vec_I, vec_I.conj())
+    S = swap_operator(N)
+    return (float(np.max(np.abs(acc_star - dyad))) <= atol
+            and float(np.max(np.abs(acc_dag - S))) <= atol)
+
+
+def reference_improve_term(rho_a, e, f, shape: BipartiteShape,
+                           atol: float = 1e-9, iters: int = 40):
+    """The single-vector loop that minimized <e f| rho_a^+ |e f>.
+
+    Alternating minimum-eigenvector updates of e and f on the range
+    pseudo-inverse plus a penalty on the complement of the range; returns
+    ``(e, f)``, or None when rho_a has no eigenvalue above ``atol``.
+    """
+    w, Vc = np.linalg.eigh(rho_a)
+    keep = w > atol
+    if not np.any(keep):
+        return None
+    cols = Vc[:, keep]
+    pinv = (cols / w[keep]) @ cols.conj().T
+    penalty = 1e8 / max(float(w[keep].min()), 1e-30)
+    B = pinv + penalty * (np.eye(rho_a.shape[0]) - cols @ cols.conj().T)
+    B4 = B.reshape(shape.d_B, shape.d_A, shape.d_B, shape.d_A)
+    value = np.inf
+    for _ in range(iters):
+        M = np.einsum("u,umvn,v->mn", f.conj(), B4, f)
+        _, Ve = np.linalg.eigh((M + M.conj().T) / 2.0)
+        e = Ve[:, 0]
+        M = np.einsum("m,umvn,n->uv", e.conj(), B4, e)
+        wf, Vf = np.linalg.eigh((M + M.conj().T) / 2.0)
+        f = Vf[:, 0]
+        new = float(wf[0].real)
+        if abs(new - value) < 1e-13:
+            break
+        value = new
+    return e, f
+
+
+def pair_optimum_closed_form(rho, psi1, psi2, atol: float = 1e-9,
+                             range_tol: float = 1e-9):
+    """max l1 + l2 subject to rho - l1|1><1| - l2|2><2| PSD, in closed form.
+
+    On range(rho) the constraint is the 2x2 condition on
+    a = <1|rho^+|1>, b = <2|rho^+|2>, c = |<1|rho^+|2>|, so the optimum is
+    the best of (1/a, 0), (0, 1/b) and the stationary point
+    ((b - c)/d, (a - c)/d), d = ab - c^2, when that point is positive.  A
+    unit vector with more than ``range_tol`` weight outside range(rho)
+    gets weight 0.
+    """
+    w, V = np.linalg.eigh(rho)
+    cols = V[:, w > atol]
+    pinv = (cols / w[w > atol]) @ cols.conj().T
+    psi1 = psi1 / np.linalg.norm(psi1)
+    psi2 = psi2 / np.linalg.norm(psi2)
+    in1 = 1.0 - np.linalg.norm(cols.conj().T @ psi1) ** 2 <= range_tol
+    in2 = 1.0 - np.linalg.norm(cols.conj().T @ psi2) ** 2 <= range_tol
+    a = np.vdot(psi1, pinv @ psi1).real
+    b = np.vdot(psi2, pinv @ psi2).real
+    c = abs(np.vdot(psi1, pinv @ psi2))
+    points = [(0.0, 0.0)]
+    if in1:
+        points.append((1.0 / a, 0.0))
+    if in2:
+        points.append((0.0, 1.0 / b))
+    if in1 and in2 and a > c and b > c:
+        d = a * b - c * c
+        points.append(((b - c) / d, (a - c) / d))
+    return max(points, key=sum)

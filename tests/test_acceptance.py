@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from choiscope.bsa import (ProductVector, bipartite_choi, bsa_state,
-                           choi_regroup_permutation, kraus_factor_split,
-                           max_lambda, max_lambda_bisection, osa_fixed_set)
+                           kraus_factor_split, max_lambda,
+                           max_lambda_bisection, osa_fixed_set)
 from choiscope.channels import (Channel, apply, choi_to_kraus, compose,
                                 compose_choi, dual, identity_channel, mix,
-                                realign_image_identity_check, superop_hs_inner,
-                                tensor_channels, transpose_channel,
-                                transpose_conjugations, validate)
+                                superop_hs_inner, tensor_channels,
+                                transpose_channel, transpose_conjugations,
+                                validate)
 from choiscope.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from choiscope.errors import NotCompletelyPositive
 from choiscope.generators import (random_cp_channel, random_product_mixture,
@@ -27,11 +27,15 @@ from choiscope.reshape import (BipartiteShape, devectorize, flip, flip_col,
                                flip_row, middle_swap, partial_trace_A,
                                partial_transpose, product_factorize, realign,
                                realign_inverse, realign_prime,
-                               realign_sandwich, swap_operator, tensor,
-                               tensor_vectors, vectorize)
-from choiscope.superop_space import (basis_resolution_checks, coefficients,
-                                     convert_coeffs, elementary_basis,
-                                     lambda_iso, rotated_basis, superop_inner)
+                               swap_operator, tensor, tensor_vectors,
+                               vectorize)
+from choiscope.reshape import middle_swap as choi_regroup_permutation
+from choiscope.superop_space import (coefficients, convert_coeffs,
+                                     elementary_basis, lambda_iso,
+                                     rotated_basis, superop_inner)
+
+from oracles import (basis_resolution_checks, realign_image_identity_check,
+                     realign_sandwich)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"

@@ -3,16 +3,19 @@ import pytest
 
 from choiscope.bsa import (ProductVector, bipartite_choi, bsa_operation,
                            bsa_state, candidate_products,
-                           choi_regroup_permutation, is_separable_operation,
-                           kraus_factor_split, max_lambda,
-                           max_lambda_bisection, max_pair, osa_fixed_set)
+                           is_separable_operation, kraus_factor_split,
+                           max_lambda, max_lambda_bisection, max_pair,
+                           osa_fixed_set)
 from choiscope.channels import Channel, identity_channel, mix
-from choiscope.errors import CandidateOutsideRange, NonConvergence, NotAState
+from choiscope.errors import (CandidateOutsideRange, NonConvergence,
+                              NotAState, NotCompletelyPositive)
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
                                   random_product_mixture, swap_channel,
                                   werner_state)
+from choiscope.numerics import Tolerance
 from choiscope.reshape import (BipartiteShape, swap_operator, tensor,
                                tensor_vectors, vectorize)
+from choiscope.reshape import middle_swap as choi_regroup_permutation
 
 from conftest import random_complex, random_density
 
@@ -276,3 +279,25 @@ def test_is_separable_operation_is_bsa_operation_verdict(rng):
             assert len(verdict.witness_kraus) == len(want.witness_kraus)
             for A, B in zip(verdict.witness_kraus, want.witness_kraus):
                 assert np.array_equal(A, B)
+
+
+def _anti_hermitian(rng, d, size):
+    """An anti-Hermitian d x d matrix whose largest entry is ``size``."""
+    A = random_complex(rng, d, d)
+    A = (A - A.conj().T) / 2.0
+    return size * A / np.max(np.abs(A))
+
+
+def test_bsa_hermiticity_checks_follow_tolerance(rng):
+    # max |M - M^dag| is 2e-7: above the 1e-8 floor, below a loose atol
+    loose = Tolerance(atol=1e-6, rtol=1e-6)
+    rho = random_density(rng, 4) + _anti_hermitian(rng, 4, 1e-7)
+    psi = tensor_vectors(E0, E1)
+    with pytest.raises(NotAState):
+        max_lambda(rho, psi)
+    assert max_lambda(rho, psi, tol=loose) > 0
+    ch = Channel.from_choi(identity_channel(4).choi
+                           + _anti_hermitian(rng, 16, 1e-7), 4, 4)
+    with pytest.raises(NotCompletelyPositive):
+        bsa_operation(ch, 2, budget=5, seed=0)
+    assert abs(bsa_operation(ch, 2, budget=5, seed=0, tol=loose).lam - 1.0) < 1e-6

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from choiscope.channels import (Channel, apply, choi_from_definition,
-                                choi_to_kraus, compose, compose_choi, dual,
-                                identity_channel, kraus_to_liouville,
-                                liouville_to_choi, mix,
-                                realign_image_identity_check, superop_hs_inner,
-                                tensor_channels, transpose_channel,
-                                transpose_conjugations, validate)
+from choiscope.channels import (Channel, apply, choi_to_kraus, compose,
+                                compose_choi, dual, identity_channel,
+                                kraus_to_liouville, liouville_to_choi, mix,
+                                superop_hs_inner, tensor_channels,
+                                transpose_channel, transpose_conjugations,
+                                validate)
 from choiscope.errors import NotCompletelyPositive
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
                                   random_state)
@@ -17,6 +16,7 @@ from choiscope.reshape import (BipartiteShape, partial_trace_A,
                                tensor, vectorize)
 
 from conftest import random_complex, random_density
+from oracles import choi_from_definition, realign_image_identity_check
 
 
 def random_channel(seed, d_in=2, d_out=2):

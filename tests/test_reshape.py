@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiscope.errors import ZeroMatrix
+from choiscope.errors import ShapeMismatch, ZeroMatrix
 from choiscope.numerics import svd_rank
 from choiscope.reshape import (BipartiteShape, devectorize, flip, flip_col,
                                flip_row, middle_swap, partial_trace_A,
                                partial_trace_B, partial_transpose,
                                product_factorize, realign, realign_inverse,
-                               realign_prime, realign_sandwich, swap_operator,
-                               tensor, tensor_vectors, vectorize)
+                               realign_prime, swap_operator, tensor,
+                               tensor_vectors, vectorize)
 
 from conftest import random_complex
+from oracles import realign_sandwich, tensor_vec_identity_check
 
 SHAPES = [BipartiteShape(2, 2), BipartiteShape(2, 3), BipartiteShape(3, 2)]
 
@@ -168,3 +169,12 @@ def test_product_factorize_rejections(rng):
     assert svd_rank(realign(S, shape)) == 4
     with pytest.raises(ZeroMatrix):
         product_factorize(np.zeros((4, 4)), shape)
+
+
+def test_tensor_vec_identity(rng):
+    # |X (x) Y>> is the middle-swapped tensor of |X>> and |Y>>
+    for N in (1, 2, 3):
+        X, Y = random_complex(rng, N, N), random_complex(rng, N, N)
+        assert tensor_vec_identity_check(X, Y)
+    with pytest.raises(ShapeMismatch):
+        tensor_vec_identity_check(np.eye(2), np.eye(3))

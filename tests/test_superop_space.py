@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from choiscope.channels import Channel, identity_channel
-from choiscope.errors import NotOrthonormal
+from choiscope.errors import NotOrthonormal, ShapeMismatch
 from choiscope.generators import random_cp_channel
 from choiscope.numerics import hs_inner
 from choiscope.reshape import swap_operator, tensor, vectorize
 from choiscope.superop_space import (OperatorBasis, SuperopCoeffs,
-                                     basis_resolution_checks, coefficients,
-                                     convert_coeffs, delta_liouville,
-                                     elementary_basis, lambda_iso,
-                                     rotated_basis, superop_inner,
+                                     coefficients, convert_coeffs,
+                                     delta_liouville, elementary_basis,
+                                     lambda_iso, rotated_basis, superop_inner,
                                      theta_liouville)
+
+from oracles import basis_resolution_checks
 
 
 def test_elementary_basis_is_orthonormal():
@@ -99,3 +100,16 @@ def test_resolution_identities():
     v = vectorize(np.eye(2))
     assert np.allclose(s1, np.outer(v, v.conj()), atol=1e-12)
     assert np.allclose(s2, swap_operator(2), atol=1e-12)
+
+
+def test_coefficients_rejects_mismatched_dimensions():
+    # a basis of the wrong dimension, and a non-square channel: typed
+    # errors, not a raw numpy shape error
+    phi = random_cp_channel(2, 2, 0)
+    with pytest.raises(ShapeMismatch):
+        coefficients(phi, elementary_basis(3), elementary_basis(3))
+    with pytest.raises(ShapeMismatch):
+        coefficients(phi, elementary_basis(2), elementary_basis(3))
+    with pytest.raises(ShapeMismatch):
+        coefficients(random_cp_channel(2, 3, 0), elementary_basis(2),
+                     elementary_basis(2))
