@@ -25,12 +25,20 @@ from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NotAState, NotCompletelyPositive, ZeroMatrix)
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix, check_hermitian
 from .reshape import (BipartiteShape, _middle_swap_index, devectorize,
-                      product_factorize, tensor, tensor_vectors, vectorize)
+                      product_factorize, realign, tensor, tensor_vectors,
+                      vectorize)
 
 # Feasibility tolerances of the BSA optimizer; looser than the library
 # default because weights are accumulated over many subtractions.
 RANGE_TOL = 1e-9
 RESIDUAL_MIN_EIG = -1e-8
+# A candidate product vector is kept when its overlap <e f|Pi|e f> with
+# the range projector reaches this value after the power iteration;
+# random draws at 1 - RANGE_TOL are kept without iterating.
+PRODUCT_OVERLAP = 1.0 - 1e-6
+# Allowance for rounding between a computed overlap and the largest
+# singular value that bounds it.
+OVERLAP_ROUNDING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,8 @@ def _check_state(rho, tol: Tolerance) -> np.ndarray:
         rho = check_hermitian(rho, Tolerance(atol=max(1e-8, tol.atol), rtol=tol.rtol))
     except Exception as exc:
         raise NotAState(str(exc)) from exc
+    # eigh reads one triangle; the Hermitian part makes rho and rho^dag agree
+    rho = (rho + rho.conj().T) / 2.0
     w = np.linalg.eigvalsh(rho)
     if w[0] < RESIDUAL_MIN_EIG:
         raise NotAState(f"min eigenvalue {w[0]:.3e} below feasibility tolerance")
@@ -253,6 +263,17 @@ def _best_product_overlaps(B4, e, f, iters=80, pick=-1):
     return e, f, value
 
 
+def _realignment_excludes_products(Pi: np.ndarray, shape: BipartiteShape) -> bool:
+    """True when no unit product vector reaches ``PRODUCT_OVERLAP`` in Pi.
+
+    With ``a = vec(e e^dag)`` and ``b = vec(f f^dag)``, both of unit norm,
+    ``<e f|Pi|e f> = a^T R(Pi) b <= sigma_max(R(Pi))`` by Cauchy-Schwarz
+    (the realignment or cross-norm bound).
+    """
+    s = np.linalg.svd(realign(Pi, shape), compute_uv=False)
+    return bool(s[0] < PRODUCT_OVERLAP - OVERLAP_ROUNDING)
+
+
 def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
                        tol: Tolerance = DEFAULT_TOL,
                        max_attempts: Optional[int] = None) -> list[ProductVector]:
@@ -260,10 +281,17 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
 
     Random product vectors already in the range are kept directly; the
     rest are locally optimized toward the range by alternating power
-    iterations and kept if the final overlap exceeds 1 - 1e-6.
-    Near-duplicates are dropped.  Attempts are drawn and optimized in
-    blocks (first the number still needed, then doubling), but accepted
-    in attempt order, so the result is that of one attempt at a time.
+    iterations and kept if the final overlap reaches ``PRODUCT_OVERLAP``.
+    Near-duplicates are dropped.
+
+    When the largest singular value of the realigned range projector is
+    below ``PRODUCT_OVERLAP`` (less a rounding margin), no product vector
+    can reach that overlap, and the search returns ``[]`` without drawing.
+    Otherwise attempts are drawn and optimized in blocks: first the number
+    still needed, then doubling while blocks keep vectors, then, after a
+    block that keeps none, every attempt left under the cap at once.
+    They are accepted in attempt order, so the result is that of one
+    attempt at a time.
     """
     rho = _check_state(rho, tol)
     if rho.shape != (shape.dim, shape.dim):
@@ -272,15 +300,16 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     _, cols = _range(rho, tol.atol)
     Pi = cols @ cols.conj().T
     full_range = cols.shape[1] == shape.dim
+    if not full_range and count > 0 and _realignment_excludes_products(Pi, shape):
+        return []
     dA, dB = shape.d_A, shape.d_B
     Pi4 = Pi.reshape(dB, dA, dB, dA)
     kept: list[ProductVector] = []
     kept_vecs = np.empty((max(count, 0), shape.dim), dtype=complex)
-    attempts = 0
+    attempts, block = 0, count
     cap = max_attempts if max_attempts is not None else 40 * count
     while len(kept) < count and attempts < cap:
-        block = min(count - len(kept) if attempts == 0 else attempts,
-                    cap - attempts)
+        block = min(block, cap - attempts)
         attempts += block
         # one row per attempt: [Re e, Im e, Re f, Im f], the order in
         # which a single attempt draws them
@@ -298,7 +327,8 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
             if out.size:
                 e[out], f[out], overlap[out] = _best_product_overlaps(
                     Pi4, e[out], f[out])
-                ok[out] = overlap[out] >= 1.0 - 1e-6
+                ok[out] = overlap[out] >= PRODUCT_OVERLAP
+        n_before = len(kept)
         for i in np.flatnonzero(ok):
             v = tensor_vectors(e[i], f[i])
             n = len(kept)
@@ -308,6 +338,7 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
             kept_vecs[n] = v
             if len(kept) == count:
                 break
+        block = attempts if len(kept) > n_before else cap - attempts
     return kept
 
 

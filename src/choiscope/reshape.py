@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonSquareSubsystems, ShapeMismatch, ZeroMatrix
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, svd_rank
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,9 @@ def product_factorize(Z, shape: BipartiteShape, tol: Tolerance = DEFAULT_TOL):
     R = realign(Z, shape)
     if not np.any(np.abs(Z) > 0):
         raise ZeroMatrix("cannot factorize the zero matrix")
-    if svd_rank(R, tol) != 1:
-        return None
     U, s, Vh = np.linalg.svd(R)
+    if np.sum(s > tol.atol + tol.rtol * s[0]) != 1:
+        return None
     # R = |X>><<Y*|, so the leading right singular vector is vec(Y*).
     x = np.sqrt(s[0]) * U[:, 0]
     y_star = np.sqrt(s[0]) * Vh[0, :].conj()

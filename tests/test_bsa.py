@@ -301,3 +301,12 @@ def test_bsa_hermiticity_checks_follow_tolerance(rng):
     with pytest.raises(NotCompletelyPositive):
         bsa_operation(ch, 2, budget=5, seed=0)
     assert abs(bsa_operation(ch, 2, budget=5, seed=0, tol=loose).lam - 1.0) < 1e-6
+
+
+def test_bsa_state_check_uses_hermitian_part(rng):
+    # a state that is Hermitian only within tolerance and its adjoint are
+    # the same state: both reduce to their Hermitian part
+    loose = Tolerance(atol=1e-6, rtol=1e-6)
+    M = random_density(rng, 4) + _anti_hermitian(rng, 4, 2e-7)
+    psi = random_complex(rng, 4)
+    assert max_lambda(M, psi, tol=loose) == max_lambda(M.conj().T, psi, tol=loose)

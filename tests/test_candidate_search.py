@@ -3,15 +3,20 @@
 ``reference_candidate_products`` is the per-attempt loop that
 ``candidate_products`` replaced: each attempt draws its own random
 product vector and runs its own alternating power iteration.  The
-batched search must keep the same vectors in the same order.
+batched search must keep the same vectors in the same order, and the
+realignment certificate may skip a search only where the loop keeps
+nothing.
 """
 
 import numpy as np
 import pytest
 
-from choiscope.bsa import candidate_products
-from choiscope.generators import random_product_mixture
-from choiscope.reshape import BipartiteShape, tensor_vectors
+from choiscope.bsa import (PRODUCT_OVERLAP, _best_product_overlaps, _regroup,
+                           _realignment_excludes_products, candidate_products)
+from choiscope.generators import random_cp_channel, random_product_mixture
+from choiscope.reshape import BipartiteShape, realign, tensor_vectors
+
+from conftest import random_complex
 
 RANGE_TOL = 1e-9
 
@@ -68,6 +73,13 @@ def reference_candidate_products(rho, shape, count, seed, atol=1e-9,
     return kept, iterated
 
 
+def _assert_same_vectors(got, want):
+    assert len(got) == len(want)
+    for pv, (e, f) in zip(got, want):
+        assert np.max(np.abs(pv.e - e)) < 1e-12
+        assert np.max(np.abs(pv.f - f)) < 1e-12
+
+
 @pytest.mark.parametrize("d_A,d_B,n_terms", [(2, 2, 2), (2, 2, 3),
                                              (2, 3, 3), (2, 3, 4)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -80,10 +92,7 @@ def test_batched_search_matches_reference_loop(d_A, d_B, n_terms, seed):
     # the random starts miss the range, so every kept vector comes out of
     # the power iteration
     assert iterated == len(want) > 0
-    assert len(got) == len(want)
-    for pv, (e, f) in zip(got, want):
-        assert np.max(np.abs(pv.e - e)) < 1e-12
-        assert np.max(np.abs(pv.f - f)) < 1e-12
+    _assert_same_vectors(got, want)
 
 
 def test_batched_search_matches_reference_with_attempt_cap():
@@ -92,10 +101,7 @@ def test_batched_search_matches_reference_with_attempt_cap():
     for cap in (1, 3, 10):
         want, _ = reference_candidate_products(rho, shape, 20, 5, max_attempts=cap)
         got = candidate_products(rho, shape, 20, 5, max_attempts=cap)
-        assert len(got) == len(want)
-        for pv, (e, f) in zip(got, want):
-            assert np.max(np.abs(pv.e - e)) < 1e-12
-            assert np.max(np.abs(pv.f - f)) < 1e-12
+        _assert_same_vectors(got, want)
 
 
 def test_batched_search_matches_reference_full_range(rng):
@@ -106,7 +112,69 @@ def test_batched_search_matches_reference_full_range(rng):
     want, iterated = reference_candidate_products(rho, shape, 25, 3)
     got = candidate_products(rho, shape, 25, 3)
     assert iterated == 0 and len(want) == 25
-    assert len(got) == len(want)
-    for pv, (e, f) in zip(got, want):
-        assert np.max(np.abs(pv.e - e)) < 1e-12
-        assert np.max(np.abs(pv.f - f)) < 1e-12
+    _assert_same_vectors(got, want)
+
+
+def _range_projector(rho, atol=1e-9):
+    w, V = np.linalg.eigh(rho)
+    cols = V[:, w > atol]
+    return cols @ cols.conj().T
+
+
+@pytest.mark.parametrize("d_A,d_B", [(2, 2), (2, 3), (3, 3), (4, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_product_overlap_below_realignment_bound(d_A, d_B, seed):
+    rng = np.random.default_rng(500 + seed)
+    shape = BipartiteShape(d_A, d_B)
+    for rank in range(1, shape.dim):
+        Q, _ = np.linalg.qr(random_complex(rng, shape.dim, rank))
+        Pi = Q @ Q.conj().T
+        bound = np.linalg.svd(realign(Pi, shape), compute_uv=False)[0]
+        e = random_complex(rng, 8, d_A)
+        f = random_complex(rng, 8, d_B)
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        # random draws, then the local maxima the search iterates them to
+        _, _, best = _best_product_overlaps(Pi.reshape(d_B, d_A, d_B, d_A), e, f)
+        for ei, fi in zip(e, f):
+            v = tensor_vectors(ei, fi)
+            assert np.vdot(v, Pi @ v).real <= bound + 1e-12
+        assert np.max(best) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("kraus_count", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_cp_choi_range_has_no_candidates(kraus_count, seed):
+    shape = BipartiteShape(4, 4)
+    E = _regroup(random_cp_channel(4, 4, seed, kraus_count=kraus_count).choi, 2)
+    rho = (E + E.conj().T) / (2.0 * np.trace(E).real)
+    if kraus_count == 2:
+        # a rank-2 range is always excluded by the bound
+        assert _realignment_excludes_products(_range_projector(rho), shape)
+    want, _ = reference_candidate_products(rho, shape, 2, seed)
+    assert want == []
+    assert candidate_products(rho, shape, 2, seed) == []
+
+
+@pytest.mark.parametrize("d_A,d_B,n_terms", [(2, 2, 2), (2, 2, 3), (2, 3, 3),
+                                             (2, 3, 5), (3, 3, 4), (3, 3, 8)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certificate_never_fires_on_product_mixtures(d_A, d_B, n_terms, seed):
+    shape = BipartiteShape(d_A, d_B)
+    rho = random_product_mixture(d_A, d_B, n_terms, seed=300 + seed)
+    Pi = _range_projector(rho)
+    assert np.linalg.matrix_rank(Pi, tol=1e-9) == n_terms < shape.dim
+    # each mixed-in product vector sits in the range with overlap 1
+    assert np.linalg.svd(realign(Pi, shape), compute_uv=False)[0] >= PRODUCT_OVERLAP
+    assert not _realignment_excludes_products(Pi, shape)
+    assert candidate_products(rho, shape, 2, seed)
+
+
+def test_batch_after_an_empty_first_block_matches_reference_loop():
+    shape = BipartiteShape(3, 3)
+    rho = random_product_mixture(3, 3, 5, seed=0)
+    first, _ = reference_candidate_products(rho, shape, 2, 3, max_attempts=2)
+    assert first == []
+    want, _ = reference_candidate_products(rho, shape, 2, 3)
+    assert len(want) == 2
+    _assert_same_vectors(candidate_products(rho, shape, 2, 3), want)

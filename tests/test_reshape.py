@@ -171,6 +171,23 @@ def test_product_factorize_rejections(rng):
         product_factorize(np.zeros((4, 4)), shape)
 
 
+def test_product_factorize_takes_one_svd(rng, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    shape = BipartiteShape(2, 3)
+    product = tensor(random_complex(rng, 2, 2), random_complex(rng, 3, 3))
+    for Z in (product, random_complex(rng, 6, 6)):
+        calls.clear()
+        product_factorize(Z, shape)
+        assert calls == [True]
+
+
 def test_tensor_vec_identity(rng):
     # |X (x) Y>> is the middle-swapped tensor of |X>> and |Y>>
     for N in (1, 2, 3):
