@@ -149,7 +149,7 @@ def test_random_cp_choi_range_has_no_candidates(kraus_count, seed):
     E = _regroup(random_cp_channel(4, 4, seed, kraus_count=kraus_count).choi, 2)
     rho = (E + E.conj().T) / (2.0 * np.trace(E).real)
     if kraus_count == 2:
-        # a rank-2 range is always excluded by the bound
+        # every rank-2 range among these seeds is excluded by the bound
         assert _realignment_excludes_products(_range_projector(rho), shape)
     want, _ = reference_candidate_products(rho, shape, 2, seed)
     assert want == []
