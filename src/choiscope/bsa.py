@@ -22,7 +22,8 @@ import numpy as np
 
 from .channels import Channel
 from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
-                     NotAState, NotCompletelyPositive, ZeroMatrix)
+                     NonFinite, NotAState, NotCompletelyPositive,
+                     ShapeMismatch, ZeroMatrix)
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix, check_hermitian
 from .reshape import (BipartiteShape, _middle_swap_index, devectorize,
                       product_factorize, realign, tensor, tensor_vectors,
@@ -39,6 +40,9 @@ PRODUCT_OVERLAP = 1.0 - 1e-6
 # Allowance for rounding between a computed overlap and the largest
 # singular value that bounds it.
 OVERLAP_ROUNDING = 1e-10
+# Projector-pair updates per sweep of the coordinate ascent (one per term
+# when there are fewer terms).
+PAIR_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,19 @@ def _max_lambda_raw(factor, psi: np.ndarray) -> float:
     return 1.0 / val if val > 0 else 0.0
 
 
+def _unit_vector(psi, n: int) -> np.ndarray:
+    """psi as a unit complex vector of length n, with typed errors."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.size != n:
+        raise ShapeMismatch(f"vector has length {psi.size}, expected {n}")
+    if not np.all(np.isfinite(psi)):
+        raise NonFinite("vector has NaN or infinite entries")
+    norm = np.linalg.norm(psi)
+    if norm == 0:
+        raise ZeroMatrix("zero vector has no direction")
+    return psi / norm
+
+
 def max_lambda(rho, psi, tol: Tolerance = DEFAULT_TOL) -> float:
     """Largest Lambda with rho - Lambda |psi><psi| still PSD.
 
@@ -129,8 +146,7 @@ def max_lambda(rho, psi, tol: Tolerance = DEFAULT_TOL) -> float:
     otherwise ``1 / <psi| rho^+ |psi>``.
     """
     rho = _check_state(rho, tol)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    psi = _unit_vector(psi, rho.shape[0])
     return _max_lambda_raw(_range(rho, tol.atol), psi)
 
 
@@ -138,8 +154,7 @@ def max_lambda_bisection(rho, psi, iterations: int = 60,
                          tol: Tolerance = DEFAULT_TOL) -> float:
     """Independent oracle: bisect Lambda on the PSD feasibility predicate."""
     rho = _check_state(rho, tol)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    psi = _unit_vector(psi, rho.shape[0])
     P = np.outer(psi, psi.conj())
 
     # Slack only absorbs eigensolver noise; anything looser biases the
@@ -163,74 +178,50 @@ def max_lambda_bisection(rho, psi, iterations: int = 60,
     return lo
 
 
-def max_pair(rho, psi1, psi2, tol: Tolerance = DEFAULT_TOL,
-             max_iter: int = 100):
+def max_pair(rho, psi1, psi2, tol: Tolerance = DEFAULT_TOL):
     """Pair of weights maximizing their sum with both subtractions feasible.
 
-    Alternating maximization from the two single-seeded starting points;
-    the larger converged sum wins.
+    Closed form; see ``_max_pair_raw``.
     """
     rho = _check_state(rho, tol)
-    psi1 = np.asarray(psi1, dtype=complex).reshape(-1)
-    psi2 = np.asarray(psi2, dtype=complex).reshape(-1)
-    psi1 = psi1 / np.linalg.norm(psi1)
-    psi2 = psi2 / np.linalg.norm(psi2)
+    psi1 = _unit_vector(psi1, rho.shape[0])
+    psi2 = _unit_vector(psi2, rho.shape[0])
     if abs(np.vdot(psi1, psi2)) ** 2 > 1.0 - 1e-12:
         raise ValueError("max_pair requires two distinct projectors")
     P1 = np.outer(psi1, psi1.conj())
     P2 = np.outer(psi2, psi2.conj())
-    return _max_pair_raw(rho, psi1, psi2, P1, P2, tol.atol, max_iter)
+    return _max_pair_raw(rho, psi1, psi2, P1, P2, tol.atol)
 
 
-def _max_pair_raw(rho, psi1, psi2, P1, P2, atol, max_iter=100, seeds=()):
-    factor = _range(rho, atol)
-    l1_seed = _max_lambda_raw(factor, psi1)
-    l2_seed = _max_lambda_raw(factor, psi2)
-    starts = [(l1_seed, 0.0), (0.0, l2_seed)] + list(seeds)
-    best = (0.0, 0.0)
-    for l1, l2 in starts:
-        for _ in range(max_iter):
-            n1 = _max_lambda_raw(_range(rho - l2 * P2, atol), psi1)
-            n2 = _max_lambda_raw(_range(rho - n1 * P1, atol), psi2)
-            if abs(n1 - l1) + abs(n2 - l2) < 1e-12:
-                l1, l2 = n1, n2
-                break
-            l1, l2 = n1, n2
-        if l1 + l2 > best[0] + best[1]:
-            best = (l1, l2)
-    interior = _pair_interior(rho, factor, psi1, psi2, P1, P2, atol)
-    if interior is not None and interior[0] + interior[1] > best[0] + best[1]:
-        best = interior
-    return best
+def _max_pair_raw(rho, psi1, psi2, P1, P2, atol):
+    """max l1 + l2 subject to rho - l1*P1 - l2*P2 PSD; psi1, psi2 unit.
 
-
-def _pair_interior(rho, factor, psi1, psi2, P1, P2, atol):
-    """Stationary point of l1 + l2 on the joint PSD boundary.
-
-    With a = <1|rho^+|1>, b = <2|rho^+|2>, c = |<1|rho^+|2>| and
-    d = ab - c^2, the sum-maximizing boundary point is
-    l1 = (b - c)/d, l2 = (a - c)/d whenever both are positive (rank-one
-    update of the inverse; both vectors must lie in range(rho)).
-    ``factor`` is the ``_range`` factor of rho.
+    On range(rho) the constraint is a 2x2 condition on a = <1|rho^+|1>,
+    b = <2|rho^+|2> and c = |<1|rho^+|2>|, so the optimum is the best of
+    (0, 0), (1/a, 0), (0, 1/b) and, when both are positive, the
+    stationary point ((b - c)/d, (a - c)/d) with d = ab - c^2.  A vector
+    more than ``RANGE_TOL`` outside range(rho) gets weight 0.  The
+    stationary point must also pass a direct PSD check.
     """
-    w, cols = factor
-    if not w.size:
-        return None
+    w, cols = _range(rho, atol)
     c1 = cols.conj().T @ psi1
     c2 = cols.conj().T @ psi2
-    if (1.0 - float(np.sum(np.abs(c1) ** 2)) > RANGE_TOL
-            or 1.0 - float(np.sum(np.abs(c2) ** 2)) > RANGE_TOL):
-        return None
+    in1 = 1.0 - float(np.sum(np.abs(c1) ** 2)) <= RANGE_TOL
+    in2 = 1.0 - float(np.sum(np.abs(c2) ** 2)) <= RANGE_TOL
     a = float(np.sum(np.abs(c1) ** 2 / w))
     b = float(np.sum(np.abs(c2) ** 2 / w))
+    points = [(0.0, 0.0)]
+    if in1:
+        points.append((1.0 / a, 0.0))
+    if in2:
+        points.append((0.0, 1.0 / b))
     c = abs(np.sum(c1.conj() * c2 / w))
     d = a * b - c * c
-    if d <= 1e-300 or a <= c or b <= c:
-        return None
-    l1, l2 = (b - c) / d, (a - c) / d
-    if np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] < -atol:
-        return None
-    return (l1, l2)
+    if in1 and in2 and d > 1e-300 and a > c and b > c:
+        l1, l2 = (b - c) / d, (a - c) / d
+        if np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] >= -atol:
+            points.append((l1, l2))
+    return max(points, key=sum)
 
 
 def _best_product_overlaps(B4, e, f, iters=80, pick=-1):
@@ -366,8 +357,7 @@ def _residual(rho, lambdas, projs) -> np.ndarray:
 
 
 def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
-            sweep_tol=1e-9, pair_cap=500, vector_update=False,
-            trace=None):
+            sweep_tol=1e-9, vector_update=False, trace=None):
     """Coordinate-ascent engine over product projectors.
 
     Sweeps single-projector weight updates, then a random subset of
@@ -401,7 +391,7 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
                 lambdas[a] = new
         if len(V) > 1:
             weighted = np.flatnonzero(lambdas > 1e-10)
-            for k in range(min(len(V), pair_cap)):
+            for k in range(min(len(V), PAIR_CAP)):
                 # half the draws pair a weighted term with a random partner,
                 # otherwise weight can't migrate off a small support set
                 if weighted.size and k % 2 == 0:
@@ -413,8 +403,7 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
                     a, b = rng.choice(len(V), size=2, replace=False)
                 rho_ab = delta + lambdas[a] * projs[a] + lambdas[b] * projs[b]
                 l1, l2 = _max_pair_raw(rho_ab, vecs[a], vecs[b],
-                                       projs[a], projs[b], tol.atol,
-                                       seeds=[(lambdas[a], lambdas[b])])
+                                       projs[a], projs[b], tol.atol)
                 if l1 + l2 > lambdas[a] + lambdas[b]:
                     delta = rho_ab - l1 * projs[a] - l2 * projs[b]
                     lambdas[a], lambdas[b] = l1, l2
@@ -500,7 +489,7 @@ def _fixed_weights_barrier(rho, vecs, rng) -> np.ndarray:
 def osa_fixed_set(rho, V: Sequence[ProductVector],
                   tol: Tolerance = DEFAULT_TOL,
                   max_sweeps: int = 500, sweep_tol: float = 1e-9,
-                  pair_cap: int = 500, seed: int = 0,
+                  seed: int = 0,
                   shape: Optional[BipartiteShape] = None,
                   trace: Optional[list] = None) -> BsaDecomposition:
     """Optimal separable approximation over a fixed product-vector set.
@@ -527,8 +516,7 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     lambdas = _fixed_weights_barrier(rho, [pv.vector for pv in V], rng)
     delta, converged = _ascend(rho, V, lambdas, shape, tol, rng,
                                max_sweeps=max_sweeps, sweep_tol=sweep_tol,
-                               pair_cap=pair_cap, vector_update=False,
-                               trace=trace)
+                               vector_update=False, trace=trace)
     result = _assemble(rho, lambdas, V, delta, len(V))
     if not converged:
         raise NonConvergence("sweep cap hit while still improving", best=result)
@@ -757,23 +745,28 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
     ent_part = Channel.from_choi(ent_choi, n, n)
     return OperationBsa(bsa_part=bsa_part, ent_part=ent_part,
                         lam=dec.lambda_total, terms=dec.terms,
-                        verdict=_verdict(D, bsa_part, ent_part, d, tol))
+                        verdict=_verdict(D, bsa_part, ent_part, d, tol,
+                                         dec.lambda_total))
 
 
 def _verdict(D, bsa_part: Channel, ent_part: Channel, d: int,
-             tol: Tolerance) -> SeparabilityVerdict:
+             tol: Tolerance, lam: float) -> SeparabilityVerdict:
     """Separability verdict from a map's Choi matrix and its BSA split.
 
     Separable when the entangled remainder is numerically zero; entangled
-    when the BSA residual has a one-dimensional range spanned by a
-    non-product vector (then no product decomposition can exist);
-    inconclusive otherwise.
+    when ``lam`` is 0, so that the residual is the input itself, and its
+    range is one-dimensional and spanned by a non-product vector;
+    inconclusive otherwise.  For ``lam > 0`` a rank-one entangled residual
+    proves nothing: a separable input can split into a separable part and
+    an entangled pure residual.
     """
     norm_D = float(np.linalg.norm(D))
     norm_ent = float(np.linalg.norm(ent_part.choi))
     if norm_ent <= 1e-6 * norm_D:
         return SeparabilityVerdict("separable",
                                    witness_kraus=tuple(bsa_part.kraus or ()))
+    if lam != 0.0:
+        return SeparabilityVerdict("inconclusive", ent_fraction=norm_ent / norm_D)
     residual = _regroup(ent_part.choi, d)
     w, V = np.linalg.eigh((residual + residual.conj().T) / 2.0)
     support = np.sum(w > 1e-8 * max(w[-1], 1.0))

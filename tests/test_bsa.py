@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from choiscope.bsa import (ProductVector, bipartite_choi, bsa_operation,
-                           bsa_state, candidate_products,
+from choiscope.bsa import (ProductVector, _regroup, _verdict, bipartite_choi,
+                           bsa_operation, bsa_state, candidate_products,
                            is_separable_operation, kraus_factor_split,
                            max_lambda, max_lambda_bisection, max_pair,
                            osa_fixed_set)
 from choiscope.channels import Channel, identity_channel, mix
 from choiscope.errors import (CandidateOutsideRange, NonConvergence,
-                              NotAState, NotCompletelyPositive)
+                              NonFinite, NotAState, NotCompletelyPositive,
+                              ShapeMismatch, ZeroMatrix)
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
                                   random_product_mixture, swap_channel,
                                   werner_state)
-from choiscope.numerics import Tolerance
+from choiscope.numerics import DEFAULT_TOL, Tolerance
 from choiscope.reshape import (BipartiteShape, swap_operator, tensor,
                                tensor_vectors, vectorize)
 from choiscope.reshape import middle_swap as choi_regroup_permutation
@@ -89,6 +90,34 @@ def test_max_pair_rejects_equal_projectors():
     psi = np.array([1, 0, 0, 0], dtype=complex)
     with pytest.raises(ValueError):
         max_pair(np.eye(4) / 4, psi, psi)
+
+
+BAD_PSI = [
+    (np.zeros(4), ZeroMatrix),
+    (np.array([1.0, np.nan, 0.0, 0.0]), NonFinite),
+    (np.array([1.0, 0.0, np.inf, 0.0]), NonFinite),
+    (np.ones(3), ShapeMismatch),
+]
+BAD_PSI_IDS = ["zero", "nan", "inf", "length3"]
+
+
+@pytest.mark.parametrize("psi,error", BAD_PSI, ids=BAD_PSI_IDS)
+def test_max_lambda_rejects_bad_vectors(psi, error):
+    rho = np.eye(4) / 4
+    with pytest.raises(error):
+        max_lambda(rho, psi)
+    with pytest.raises(error):
+        max_lambda_bisection(rho, psi)
+
+
+@pytest.mark.parametrize("psi,error", BAD_PSI, ids=BAD_PSI_IDS)
+def test_max_pair_rejects_bad_vectors(psi, error):
+    rho = np.eye(4) / 4
+    good = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(error):
+        max_pair(rho, psi, good)
+    with pytest.raises(error):
+        max_pair(rho, good, psi)
 
 
 def test_candidate_products_full_range_count():
@@ -262,6 +291,21 @@ def test_separability_verdicts(rng):
     weak = mix([1e-3, 1 - 1e-3],
                [swap_channel(2), depolarizing_channel(4, 1.0)])
     verdict = is_separable_operation(weak, 2, budget=20, seed=0)
+    assert verdict.kind == "inconclusive"
+
+
+def test_verdict_ignores_rank_one_residual_when_lambda_is_positive():
+    # the regrouped Choi matrix of full depolarization is (t/16) I on 4 (x) 4;
+    # (t/16)(I - Phi+) is isotropic with fidelity 0, hence separable, so a
+    # split leaving the entangled pure residual (t/16) Phi+ proves nothing
+    D = depolarizing_channel(4, 1.0).choi
+    t = float(np.trace(D).real)
+    assert np.allclose(_regroup(D, 2), t / 16 * np.eye(16), atol=1e-12)
+    phi = np.eye(4).reshape(-1) / 2.0
+    Phi = np.outer(phi, phi)
+    sep = Channel.from_choi(_regroup(t / 16 * (np.eye(16) - Phi), 2), 4, 4)
+    ent = Channel.from_choi(_regroup(t / 16 * Phi, 2), 4, 4)
+    verdict = _verdict(D, sep, ent, 2, DEFAULT_TOL, 15 / 16)
     assert verdict.kind == "inconclusive"
 
 

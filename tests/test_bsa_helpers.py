@@ -58,8 +58,12 @@ def test_max_pair_matches_closed_form(block):
     for seed in range(30 * block, 30 * (block + 1)):
         rho, psi1, psi2, inside = _pair_instance(seed)
         want = sum(pair_optimum_closed_form(rho, psi1, psi2))
-        got = sum(max_pair(rho, psi1, psi2))
+        l1, l2 = max_pair(rho, psi1, psi2)
+        got = l1 + l2
         assert abs(got - want) <= 1e-9 * want, (seed, got, want)
+        P1 = np.outer(psi1, psi1.conj()) / np.vdot(psi1, psi1).real
+        P2 = np.outer(psi2, psi2.conj()) / np.vdot(psi2, psi2).real
+        assert np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] >= -1e-9, seed
         kinds.add(sum(inside))
     # every block has pairs in the range, and pairs with a vector outside
     assert 2 in kinds and kinds & {0, 1}
