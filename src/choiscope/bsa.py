@@ -201,9 +201,13 @@ def _max_pair_raw(rho, psi1, psi2, P1, P2, atol):
     (0, 0), (1/a, 0), (0, 1/b) and, when both are positive, the
     stationary point ((b - c)/d, (a - c)/d) with d = ab - c^2.  A vector
     more than ``RANGE_TOL`` outside range(rho) gets weight 0.  The
-    stationary point must also pass a direct PSD check.
+    stationary point must also keep the least eigenvalue at or above
+    min(0, that of rho) - atol: an ascent residual may sit slightly
+    below zero where P1 and P2 do not reach.
     """
-    w, cols = _range(rho, atol)
+    w_all, V = np.linalg.eigh(rho)
+    keep = w_all > atol
+    w, cols = w_all[keep], V[:, keep]
     c1 = cols.conj().T @ psi1
     c2 = cols.conj().T @ psi2
     in1 = 1.0 - float(np.sum(np.abs(c1) ** 2)) <= RANGE_TOL
@@ -219,7 +223,8 @@ def _max_pair_raw(rho, psi1, psi2, P1, P2, atol):
     d = a * b - c * c
     if in1 and in2 and d > 1e-300 and a > c and b > c:
         l1, l2 = (b - c) / d, (a - c) / d
-        if np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] >= -atol:
+        floor = min(0.0, float(w_all[0])) - atol
+        if np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] >= floor:
             points.append((l1, l2))
     return max(points, key=sum)
 

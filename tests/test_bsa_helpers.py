@@ -2,13 +2,15 @@
 
 ``_improve_term`` runs the shared batched eigenvector loop with one row;
 it must return the product vector of the single-vector loop it replaced.
-``max_pair`` must reach the closed-form pair optimum.
+``max_pair`` must reach the closed-form pair optimum, and no bisected
+point may beat it.
 """
 
 import numpy as np
 import pytest
 
-from choiscope.bsa import ProductVector, _improve_term, _range, max_pair
+from choiscope.bsa import (ProductVector, _improve_term, _range, max_lambda_bisection,
+                           max_pair)
 from choiscope.reshape import BipartiteShape
 
 from conftest import random_complex, random_density
@@ -64,6 +66,15 @@ def test_max_pair_matches_closed_form(block):
         P1 = np.outer(psi1, psi1.conj()) / np.vdot(psi1, psi1).real
         P2 = np.outer(psi2, psi2.conj()) / np.vdot(psi2, psi2).real
         assert np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] >= -1e-9, seed
+        # independent optimality: t + (largest feasible l2 at l1 = t) is
+        # concave in t, so the bisected sums on a grid and next to l1 must
+        # not beat l1 + l2
+        top = max_lambda_bisection(rho, psi1)
+        h = 1e-3 * top
+        for t in [*np.linspace(0.0, top, 9), l1 - h, l1 + h]:
+            if 0.0 <= t <= top:
+                other = t + max_lambda_bisection(rho - t * P1, psi2)
+                assert other <= got + 1e-9 * max(got, 1.0), (seed, t, other, got)
         kinds.add(sum(inside))
     # every block has pairs in the range, and pairs with a vector outside
     assert 2 in kinds and kinds & {0, 1}
