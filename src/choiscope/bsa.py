@@ -8,6 +8,15 @@ set of product vectors, with single-projector and projector-pair weight
 updates; the subtractable weight of one projector has the closed form
 ``1 / <psi| rho^+ |psi>`` when ``psi`` lies in the range of ``rho``.
 
+Before any of that, ``bsa_state`` asks whether range(rho) can hold a
+product vector at all.  A separable part must lie in range(rho), so when
+no unit product vector reaches ``PRODUCT_OVERLAP`` in the range
+projector, Lambda = 0 is optimal (the range criterion) and the search,
+the ascent and the refinement rounds are skipped.  Two cross-norm bounds
+decide this: the realigned range projector, and the realigned two-copy
+projector restricted to Sym^2(A) (x) Sym^2(B); the result records which
+one fired.
+
 Operations are handled through their Choi matrix: regrouping its indices
 by (output, input) pairs per subsystem turns separability of the map
 into ordinary separability of a bipartite state.
@@ -40,6 +49,12 @@ PRODUCT_OVERLAP = 1.0 - 1e-6
 # Allowance for rounding between a computed overlap and the largest
 # singular value that bounds it.
 OVERLAP_ROUNDING = 1e-10
+# The two-copy certificate (``_symmetric_realignment``) runs only when
+# dim Sym^2(A) * dim Sym^2(B) is at most this.  Its SVD is of a
+# dim Sym^2(A)^2 x dim Sym^2(B)^2 matrix: 100 x 100 at 4x4 (about 2 ms on
+# one x86_64 core), 225 x 225 at 5x5 (about 20 ms); a 16x16 range, the
+# regrouped Choi matrix of a d = 4 operation, would need 18496^2.
+SYMMETRIC_CERTIFICATE_MAX_DIM = 256
 # Projector-pair updates per sweep of the coordinate ascent (one per term
 # when there are fewer terms).
 PAIR_CAP = 500
@@ -75,6 +90,9 @@ class BsaDecomposition:
     separable_part: np.ndarray
     residual: np.ndarray
     candidate_set_size: int
+    # "realignment" or "symmetric_realignment" when that bound proved
+    # that range(rho) holds no product vector, so that Lambda = 0
+    certificate: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,7 @@ class OperationBsa:
     lam: float
     terms: tuple  # of (weight, ProductVector) in the regrouped Choi space
     verdict: SeparabilityVerdict
+    certificate: Optional[str] = None  # as in BsaDecomposition
 
 
 def _check_state(rho, tol: Tolerance) -> np.ndarray:
@@ -270,6 +289,79 @@ def _realignment_excludes_products(Pi: np.ndarray, shape: BipartiteShape) -> boo
     return bool(s[0] < PRODUCT_OVERLAP - OVERLAP_ROUNDING)
 
 
+def _sym2_isometry(d: int) -> np.ndarray:
+    """Real orthonormal basis of Sym^2(C^d) as a (d, d, d(d+1)/2) array.
+
+    Column k, for the k-th pair i <= j in row-major order, is |ii> when
+    i == j and (|ij> + |ji>)/sqrt(2) otherwise.
+    """
+    i, j = np.triu_indices(d)
+    k = np.arange(i.size)
+    S = np.zeros((d, d, i.size))
+    S[i, j, k] = S[j, i, k] = np.where(i == j, 1.0, np.sqrt(0.5))
+    return S
+
+
+def _symmetric_realignment(Pi: np.ndarray, shape: BipartiteShape) -> np.ndarray:
+    """R(Pi_2): Pi (x) Pi regrouped to (AA)(BB), on Sym^2(A) (x) Sym^2(B).
+
+    With S_A, S_B the ``_sym2_isometry`` bases, Pi_2 is the compression of
+    Pi (x) Pi to span{S_A[:, :, a] (x) S_B[:, :, b]}, and the result is
+    ``realign(Pi_2, BipartiteShape(s_A, s_B))`` with s = dim Sym^2.  It is
+    contracted one index pair at a time, so the (d_A d_B)^2-dimensional
+    two-copy matrix is never formed.
+    """
+    dA, dB = shape.d_A, shape.d_B
+    P = Pi.reshape(dB, dA, dB, dA)  # (u, m, v, n): B ket, A ket, B bra, A bra
+    SA, SB = _sym2_isometry(dA), _sym2_isometry(dB)
+    X = np.tensordot(P, SA, axes=([1], [0]))       # u1 v1 n1 m2 a
+    X = np.tensordot(X, SA, axes=([2], [0]))       # u1 v1 m2 a n2 a'
+    X = np.tensordot(X, P, axes=([2, 4], [1, 3]))  # u1 v1 a a' u2 v2
+    X = np.tensordot(X, SB, axes=([0, 4], [0, 1]))  # v1 a a' v2 b
+    X = np.tensordot(X, SB, axes=([0, 3], [0, 1]))  # a a' b b'
+    sA, sB = SA.shape[2], SB.shape[2]
+    # realign's order: rows (bra, ket) of A, columns (bra, ket) of B
+    return X.transpose(1, 0, 3, 2).reshape(sA * sA, sB * sB)
+
+
+def _product_free_certificate(cols: np.ndarray,
+                              shape: BipartiteShape) -> Optional[str]:
+    """Name of a bound proving range(cols) holds no product vector, or None.
+
+    ``cols`` is an orthonormal basis of the range (the ``_range``
+    columns) and Pi its projector.  A full range is never excluded.
+
+    Level 1, ``"realignment"``: ``_realignment_excludes_products``.
+
+    Level 2, ``"symmetric_realignment"``: sigma_max(R(Pi_2)) below
+    ``(PRODUCT_OVERLAP - OVERLAP_ROUNDING)^2``, with R(Pi_2) from
+    ``_symmetric_realignment``.  Proof: for unit e, f the vector
+    (e f) (x) (e f), regrouped to (AA)(BB), is x (x) y with x = e (x) e
+    and y = f (x) f.  Both are unit and symmetric, so x lies in Sym^2(A)
+    and y in Sym^2(B), and
+    ``<e f|Pi|e f>^2 = <x y|Pi (x) Pi|x y> = <x y|Pi_2|x y>``.  That is a
+    product-vector overlap of Pi_2, so Cauchy-Schwarz, as in level 1,
+    bounds it by sigma_max(R(Pi_2)).  Hence, when ``PRODUCT_OVERLAP^2``
+    (less the rounding margin) exceeds sigma_max(R(Pi_2)), no product
+    vector reaches ``PRODUCT_OVERLAP`` in Pi.  Without the restriction to
+    the symmetric subspaces R(Pi_2) would be R(Pi) (x) R(Pi) up to index
+    order, whose sigma_max is level 1's squared.  Level 2 runs only up to
+    ``SYMMETRIC_CERTIFICATE_MAX_DIM``.
+    """
+    if cols.shape[1] == shape.dim:
+        return None
+    Pi = cols @ cols.conj().T
+    if _realignment_excludes_products(Pi, shape):
+        return "realignment"
+    dA, dB = shape.d_A, shape.d_B
+    if dA * (dA + 1) * dB * (dB + 1) // 4 > SYMMETRIC_CERTIFICATE_MAX_DIM:
+        return None
+    s = np.linalg.svd(_symmetric_realignment(Pi, shape), compute_uv=False)
+    if s[0] < (PRODUCT_OVERLAP - OVERLAP_ROUNDING) ** 2:
+        return "symmetric_realignment"
+    return None
+
+
 def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
                        tol: Tolerance = DEFAULT_TOL,
                        max_attempts: Optional[int] = None) -> list[ProductVector]:
@@ -283,6 +375,8 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     When the largest singular value of the realigned range projector is
     below ``PRODUCT_OVERLAP`` (less a rounding margin), no product vector
     can reach that overlap, and the search returns ``[]`` without drawing.
+    This is level 1 of ``_product_free_certificate``; ``bsa_state`` runs
+    both levels itself before it searches at all.
     Otherwise attempts are drawn and optimized in blocks: first the number
     still needed, then doubling while blocks keep vectors, then, after a
     block that keeps none, every attempt left under the cap at once.
@@ -622,6 +716,12 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
     that re-seed near the high-weight directions; returns a certified
     lower bound (the residual is always PSD within tolerance, optimality
     is best-effort).
+
+    A pure state is decided by its Schmidt rank.  Otherwise, when
+    ``_product_free_certificate`` proves that range(rho) holds no product
+    vector, Lambda = 0 is optimal and the result, with no terms and the
+    residual rho itself, names that certificate; nothing is searched or
+    seeded.
     """
     rho = _check_state(rho, tol)
     if rho.shape != (shape.dim, shape.dim):
@@ -637,6 +737,10 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
         pv = ProductVector(*factors)
         return BsaDecomposition(1.0, ((1.0, pv),), pv.projector,
                                 np.zeros_like(rho, dtype=complex), 1)
+    certificate = _product_free_certificate(cols, shape)
+    if certificate is not None:
+        return BsaDecomposition(0.0, (), np.zeros_like(rho), rho.astype(complex), 0,
+                                certificate=certificate)
     rng = np.random.default_rng(seed)
     V = candidate_products(rho, shape, budget, int(rng.integers(1 << 31)), tol)
     lambdas = np.zeros(len(V))
@@ -751,7 +855,8 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
     return OperationBsa(bsa_part=bsa_part, ent_part=ent_part,
                         lam=dec.lambda_total, terms=dec.terms,
                         verdict=_verdict(D, bsa_part, ent_part, d, tol,
-                                         dec.lambda_total))
+                                         dec.lambda_total),
+                        certificate=dec.certificate)
 
 
 def _verdict(D, bsa_part: Channel, ent_part: Channel, d: int,

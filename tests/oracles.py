@@ -157,3 +157,31 @@ def pair_optimum_closed_form(rho, psi1, psi2, atol: float = 1e-9,
         d = a * b - c * c
         points.append(((b - c) / d, (a - c) / d))
     return max(points, key=sum)
+
+
+def _sym2_basis(d: int) -> np.ndarray:
+    """Columns |ii> and (|ij> + |ji>)/sqrt(2), i < j, for pairs i <= j in order."""
+    cols = []
+    for i in range(d):
+        for j in range(i, d):
+            v = np.zeros((d, d))
+            v[i, j] += 1.0
+            v[j, i] += 1.0
+            cols.append(v.reshape(-1) / np.linalg.norm(v))
+    return np.array(cols).T
+
+
+def symmetric_realignment_dense(Pi, shape: BipartiteShape) -> np.ndarray:
+    """R(Pi_2) from the explicit two-copy matrix.
+
+    Forms Pi (x) Pi, reorders its factors to (AA)(BB), compresses it to
+    Sym^2(A) (x) Sym^2(B) with explicit symmetric bases and realigns the
+    result on that bipartite space.
+    """
+    dA, dB, D = shape.d_A, shape.d_B, shape.dim
+    T = np.kron(Pi, Pi).reshape(dB, dA, dB, dA, dB, dA, dB, dA)
+    # axes (u1, m1, u2, m2) of rows and columns -> ((u1 u2), (m1 m2))
+    T = T.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(D * D, D * D)
+    SA, SB = _sym2_basis(dA), _sym2_basis(dB)
+    W = tensor(SA, SB)
+    return realign(W.T @ T @ W, BipartiteShape(SA.shape[1], SB.shape[1]))

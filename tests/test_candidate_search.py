@@ -5,18 +5,29 @@
 product vector and runs its own alternating power iteration.  The
 batched search must keep the same vectors in the same order, and the
 realignment certificate may skip a search only where the loop keeps
-nothing.
+nothing.  The same holds for the two-level certificate with which
+``bsa_state`` returns Lambda = 0 before it searches.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from choiscope.bsa import (PRODUCT_OVERLAP, _best_product_overlaps, _regroup,
-                           _realignment_excludes_products, candidate_products)
+from choiscope import bsa
+from choiscope.bsa import (PRODUCT_OVERLAP, _best_product_overlaps, _range,
+                           _product_free_certificate, _regroup,
+                           _realignment_excludes_products,
+                           _symmetric_realignment, bsa_operation, bsa_state,
+                           candidate_products)
 from choiscope.generators import random_cp_channel, random_product_mixture
 from choiscope.reshape import BipartiteShape, realign, tensor_vectors
+from choiscope.serialization import load_path
 
 from conftest import random_complex
+from oracles import symmetric_realignment_dense
 
 RANGE_TOL = 1e-9
 
@@ -178,3 +189,116 @@ def test_batch_after_an_empty_first_block_matches_reference_loop():
     want, _ = reference_candidate_products(rho, shape, 2, 3)
     assert len(want) == 2
     _assert_same_vectors(candidate_products(rho, shape, 2, 3), want)
+
+
+def _random_range_projector(rng, shape, rank):
+    Q, _ = np.linalg.qr(random_complex(rng, shape.dim, rank))
+    return Q @ Q.conj().T
+
+
+def _sigma2(Pi, shape):
+    return np.linalg.svd(_symmetric_realignment(Pi, shape), compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("d_A,d_B", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_symmetric_realignment_matches_dense_oracle(d_A, d_B, seed):
+    rng = np.random.default_rng(700 + seed)
+    shape = BipartiteShape(d_A, d_B)
+    for rank in (1, shape.dim // 2, shape.dim - 1):
+        Pi = _random_range_projector(rng, shape, rank)
+        got = _symmetric_realignment(Pi, shape)
+        assert np.max(np.abs(got - symmetric_realignment_dense(Pi, shape))) < 1e-12
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([BipartiteShape(2, 2), BipartiteShape(2, 3),
+                        BipartiteShape(3, 3), BipartiteShape(4, 4)]))
+@settings(max_examples=40, deadline=None)
+def test_squared_product_overlap_below_symmetric_bound(seed, shape):
+    rng = np.random.default_rng(seed)
+    Pi = _random_range_projector(rng, shape, int(rng.integers(1, shape.dim)))
+    bound = _sigma2(Pi, shape)
+    e = random_complex(rng, 8, shape.d_A)
+    f = random_complex(rng, 8, shape.d_B)
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    Pi4 = Pi.reshape(shape.d_B, shape.d_A, shape.d_B, shape.d_A)
+    _, _, best = _best_product_overlaps(Pi4, e, f)
+    for ei, fi in zip(e, f):
+        v = tensor_vectors(ei, fi)
+        assert np.vdot(v, Pi @ v).real ** 2 <= bound + 1e-12
+    assert np.max(best) ** 2 <= bound + 1e-12
+
+
+@pytest.mark.parametrize("d_A,d_B,n_terms", [(2, 2, 2), (2, 2, 3), (2, 3, 3),
+                                             (2, 3, 5), (3, 3, 4), (3, 3, 8),
+                                             (4, 4, 3), (4, 4, 9), (4, 4, 15)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_neither_certificate_level_fires_on_product_mixtures(d_A, d_B, n_terms, seed):
+    shape = BipartiteShape(d_A, d_B)
+    rho = random_product_mixture(d_A, d_B, n_terms, seed=400 + seed)
+    _, cols = _range(rho, 1e-9)
+    assert cols.shape[1] == n_terms < shape.dim
+    Pi = cols @ cols.conj().T
+    # each mixed-in product vector sits in the range with overlap 1
+    assert _sigma2(Pi, shape) >= PRODUCT_OVERLAP ** 2
+    assert not _realignment_excludes_products(Pi, shape)
+    assert _product_free_certificate(cols, shape) is None
+
+
+def test_symmetric_certificate_is_skipped_beyond_its_size_gate(monkeypatch):
+    shape = BipartiteShape(6, 6)  # dim Sym^2 = 21, and 21 * 21 > the gate
+    assert 21 * 21 > bsa.SYMMETRIC_CERTIFICATE_MAX_DIM
+
+    def refuse(Pi, shape):
+        raise AssertionError("level 2 ran beyond its size gate")
+
+    monkeypatch.setattr(bsa, "_symmetric_realignment", refuse)
+    Q, _ = np.linalg.qr(random_complex(np.random.default_rng(3), 36, 30))
+    assert not _realignment_excludes_products(Q @ Q.conj().T, shape)
+    assert _product_free_certificate(Q, shape) is None
+
+
+def _regrouped_choi_state(channel):
+    E = _regroup(channel.choi, 2)
+    return (E + E.conj().T) / (2.0 * np.trace(E).real)
+
+
+@pytest.mark.parametrize("kraus_count", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_bsa_state_returns_at_once_on_product_free_ranges(kraus_count, seed):
+    shape = BipartiteShape(4, 4)
+    channel = random_cp_channel(4, 4, seed, kraus_count=kraus_count)
+    rho = _regrouped_choi_state(channel)
+    dec = bsa_state(rho, shape, budget=2, seed=seed)
+    assert dec.lambda_total == 0.0 and dec.terms == ()
+    assert np.array_equal(dec.residual, rho)
+    assert dec.candidate_set_size == 0
+    if kraus_count == 2:
+        assert dec.certificate == "realignment"
+    else:
+        assert dec.certificate in ("realignment", "symmetric_realignment")
+    op = bsa_operation(channel, 2, budget=2, seed=seed)
+    assert op.lam == 0.0 and op.certificate == dec.certificate
+    assert op.verdict.kind == "inconclusive"
+    want, _ = reference_candidate_products(rho, shape, 2, seed)
+    assert want == []
+
+
+def test_symmetric_certificate_decides_the_cli_fixture():
+    path = Path(__file__).parent / "fixtures" / "random_cp4x4.json"
+    shape = BipartiteShape(4, 4)
+    rho = _regrouped_choi_state(load_path(path).to_channel())
+    Pi = _range_projector(rho)
+    # level 1 cannot decide this rank-4 range; level 2 can
+    assert not _realignment_excludes_products(Pi, shape)
+    assert _sigma2(Pi, shape) < 0.99
+    assert bsa_state(rho, shape, budget=5, seed=0).certificate == "symmetric_realignment"
+
+
+def test_no_certificate_on_full_range_or_separable_inputs():
+    shape = BipartiteShape(2, 2)
+    assert bsa_state(np.eye(4) / 4.0, shape, budget=5, seed=0).certificate is None
+    rho = random_product_mixture(2, 2, 3, seed=7)
+    assert bsa_state(rho, shape, budget=5, seed=0).certificate is None
