@@ -3,7 +3,8 @@
 
 Draws random CP-TP channels on a 2 x 2 bipartite system, validates the
 dynamical-matrix constraints, runs the operation-level best separable
-approximation, and tallies the verdicts.
+approximation, and tallies the verdicts and the range certificates
+(``OperationBsa.certificate``; ``null`` where none fired).
 """
 
 import argparse
@@ -26,6 +27,7 @@ class SurveyConfig:
 
 def run(config: SurveyConfig) -> dict:
     tally = {"separable": 0, "entangled": 0, "inconclusive": 0}
+    certificates = {"realignment": 0, "symmetric_extension": 0, "null": 0}
     lams = []
     for k in range(config.count):
         ch = random_cp_channel(4, 4, seed=config.seed * 10_000 + k)
@@ -33,8 +35,10 @@ def run(config: SurveyConfig) -> dict:
         assert report.completely_positive and report.trace_preserving
         res = bsa_operation(ch, 2, budget=config.budget, seed=config.seed)
         tally[res.verdict.kind] += 1
+        certificates[res.certificate or "null"] += 1
         lams.append(res.lam)
     return {"tally": tally,
+            "certificates": certificates,
             "lambda_mean": float(np.mean(lams)),
             "lambda_min": float(np.min(lams)),
             "lambda_max": float(np.max(lams))}
@@ -46,6 +50,10 @@ def main() -> None:
     parser.add_argument("--budget", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error("--count must be at least 1")
+    if args.budget < 0:
+        parser.error("--budget must be non-negative")
     config = SurveyConfig(count=args.count, budget=args.budget, seed=args.seed)
     out = {"config": asdict(config), **run(config)}
     print(json.dumps(out, indent=2))

@@ -12,10 +12,10 @@ Before any of that, ``bsa_state`` asks whether range(rho) can hold a
 product vector at all.  A separable part must lie in range(rho), so when
 no unit product vector reaches ``PRODUCT_OVERLAP`` in the range
 projector, Lambda = 0 is optimal (the range criterion) and the search,
-the ascent and the refinement rounds are skipped.  Two cross-norm bounds
-decide this: the realigned range projector, and the realigned two-copy
-projector restricted to Sym^2(A) (x) Sym^2(B); the result records which
-one fired.
+the ascent and the refinement rounds are skipped.  Two bounds decide
+this: the cross-norm bound of the realigned range projector, and the
+range projector extended by one symmetric copy of the larger party; the
+result records which one fired.
 
 Operations are handled through their Choi matrix: regrouping its indices
 by (output, input) pairs per subsystem turns separability of the map
@@ -46,15 +46,9 @@ RESIDUAL_MIN_EIG = -1e-8
 # the range projector reaches this value after the power iteration;
 # random draws at 1 - RANGE_TOL are kept without iterating.
 PRODUCT_OVERLAP = 1.0 - 1e-6
-# Allowance for rounding between a computed overlap and the largest
-# singular value that bounds it.
+# Allowance for rounding between a computed overlap and the singular
+# value or eigenvalue that bounds it.
 OVERLAP_ROUNDING = 1e-10
-# The two-copy certificate (``_symmetric_realignment``) runs only when
-# dim Sym^2(A) * dim Sym^2(B) is at most this.  Its SVD is of a
-# dim Sym^2(A)^2 x dim Sym^2(B)^2 matrix: 100 x 100 at 4x4 (about 2 ms on
-# one x86_64 core), 225 x 225 at 5x5 (about 20 ms); a 16x16 range, the
-# regrouped Choi matrix of a d = 4 operation, would need 18496^2.
-SYMMETRIC_CERTIFICATE_MAX_DIM = 256
 # Projector-pair updates per sweep of the coordinate ascent (one per term
 # when there are fewer terms).
 PAIR_CAP = 500
@@ -90,7 +84,7 @@ class BsaDecomposition:
     separable_part: np.ndarray
     residual: np.ndarray
     candidate_set_size: int
-    # "realignment" or "symmetric_realignment" when that bound proved
+    # "realignment" or "symmetric_extension" when that bound proved
     # that range(rho) holds no product vector, so that Lambda = 0
     certificate: Optional[str] = None
 
@@ -289,76 +283,62 @@ def _realignment_excludes_products(Pi: np.ndarray, shape: BipartiteShape) -> boo
     return bool(s[0] < PRODUCT_OVERLAP - OVERLAP_ROUNDING)
 
 
-def _sym2_isometry(d: int) -> np.ndarray:
-    """Real orthonormal basis of Sym^2(C^d) as a (d, d, d(d+1)/2) array.
+def _symmetric_extension_bound(cols: np.ndarray, shape: BipartiteShape) -> float:
+    """lambda_max of Pi (x) I compressed to A (x) Sym^2(B), B the larger party.
 
-    Column k, for the k-th pair i <= j in row-major order, is |ii> when
-    i == j and (|ij> + |ji>)/sqrt(2) otherwise.
+    ``cols`` (r columns) is an orthonormal basis of range(Pi).  With
+    ``C[w, m, a]`` the entry of column a at B index w and A index m, the
+    value is ``(1 + lambda_max(K)) / 2`` for the (r d_B)^2 Hermitian
+    ``K[(a, w), (b, z)] = sum_m conj(C[z, m, a]) C[w, m, b]``.  When
+    d_A > d_B the parties swap roles.  See ``_product_free_certificate``.
     """
-    i, j = np.triu_indices(d)
-    k = np.arange(i.size)
-    S = np.zeros((d, d, i.size))
-    S[i, j, k] = S[j, i, k] = np.where(i == j, 1.0, np.sqrt(0.5))
-    return S
+    r = cols.shape[1]
+    C = cols.reshape(shape.d_B, shape.d_A, r)
+    if shape.d_A > shape.d_B:
+        C = C.transpose(1, 0, 2)
+    d = C.shape[0]
+    K = np.einsum("zma,wmb->awbz", C.conj(), C).reshape(r * d, r * d)
+    return (1.0 + float(np.linalg.eigvalsh(K)[-1])) / 2.0
 
 
-def _symmetric_realignment(Pi: np.ndarray, shape: BipartiteShape) -> np.ndarray:
-    """R(Pi_2): Pi (x) Pi regrouped to (AA)(BB), on Sym^2(A) (x) Sym^2(B).
-
-    With S_A, S_B the ``_sym2_isometry`` bases, Pi_2 is the compression of
-    Pi (x) Pi to span{S_A[:, :, a] (x) S_B[:, :, b]}, and the result is
-    ``realign(Pi_2, BipartiteShape(s_A, s_B))`` with s = dim Sym^2.  It is
-    contracted one index pair at a time, so the (d_A d_B)^2-dimensional
-    two-copy matrix is never formed.
-    """
-    dA, dB = shape.d_A, shape.d_B
-    P = Pi.reshape(dB, dA, dB, dA)  # (u, m, v, n): B ket, A ket, B bra, A bra
-    SA, SB = _sym2_isometry(dA), _sym2_isometry(dB)
-    X = np.tensordot(P, SA, axes=([1], [0]))       # u1 v1 n1 m2 a
-    X = np.tensordot(X, SA, axes=([2], [0]))       # u1 v1 m2 a n2 a'
-    X = np.tensordot(X, P, axes=([2, 4], [1, 3]))  # u1 v1 a a' u2 v2
-    X = np.tensordot(X, SB, axes=([0, 4], [0, 1]))  # v1 a a' v2 b
-    X = np.tensordot(X, SB, axes=([0, 3], [0, 1]))  # a a' b b'
-    sA, sB = SA.shape[2], SB.shape[2]
-    # realign's order: rows (bra, ket) of A, columns (bra, ket) of B
-    return X.transpose(1, 0, 3, 2).reshape(sA * sA, sB * sB)
-
-
-def _product_free_certificate(cols: np.ndarray,
+def _product_free_certificate(cols: np.ndarray, Pi: np.ndarray,
                               shape: BipartiteShape) -> Optional[str]:
     """Name of a bound proving range(cols) holds no product vector, or None.
 
     ``cols`` is an orthonormal basis of the range (the ``_range``
-    columns) and Pi its projector.  A full range is never excluded.
+    columns) and ``Pi`` its projector.  A full range is never excluded.
 
     Level 1, ``"realignment"``: ``_realignment_excludes_products``.
 
-    Level 2, ``"symmetric_realignment"``: sigma_max(R(Pi_2)) below
-    ``(PRODUCT_OVERLAP - OVERLAP_ROUNDING)^2``, with R(Pi_2) from
-    ``_symmetric_realignment``.  Proof: for unit e, f the vector
-    (e f) (x) (e f), regrouped to (AA)(BB), is x (x) y with x = e (x) e
-    and y = f (x) f.  Both are unit and symmetric, so x lies in Sym^2(A)
-    and y in Sym^2(B), and
-    ``<e f|Pi|e f>^2 = <x y|Pi (x) Pi|x y> = <x y|Pi_2|x y>``.  That is a
-    product-vector overlap of Pi_2, so Cauchy-Schwarz, as in level 1,
-    bounds it by sigma_max(R(Pi_2)).  Hence, when ``PRODUCT_OVERLAP^2``
-    (less the rounding margin) exceeds sigma_max(R(Pi_2)), no product
-    vector reaches ``PRODUCT_OVERLAP`` in Pi.  Without the restriction to
-    the symmetric subspaces R(Pi_2) would be R(Pi) (x) R(Pi) up to index
-    order, whose sigma_max is level 1's squared.  Level 2 runs only up to
-    ``SYMMETRIC_CERTIFICATE_MAX_DIM``.
+    Level 2, ``"symmetric_extension"``: ``_symmetric_extension_bound``
+    below ``PRODUCT_OVERLAP - OVERLAP_ROUNDING``; the first level of the
+    symmetric-extension hierarchy (Doherty, Parrilo & Spedalieri, PRA 69,
+    022308 (2004)) applied to Pi.  Proof, for d_B >= d_A: for unit e, f
+    the vector x = (e f) (x) f of A (x) B (x) B is unit and symmetric in
+    the two copies of B, so it lies in A (x) Sym^2(B), and
+    ``<e f|Pi|e f> = <x|Pi (x) I|x>``.  With S the isometry onto
+    A (x) Sym^2(B), that is at most lambda_max(S^dag (Pi (x) I) S).  Write
+    Pi (x) I = V V^dag, V the isometry with columns c_a (x) |w>, and
+    P = (I + F)/2 for the projector onto A (x) Sym^2(B), F the swap of
+    the two copies of B.  P V V^dag P and V^dag P V = (I + V^dag F V)/2
+    share their nonzero eigenvalues, and V^dag F V is the K of
+    ``_symmetric_extension_bound``.
+
+    Level 2 runs only while r <= d_small (d_big - 1) / 2.  Beyond that,
+    range(Pi) (x) C^d_big, of dimension r d_big, and A (x) Sym^2(B), of
+    dimension d_small d_big (d_big + 1) / 2, have dimensions summing to
+    more than d_small d_big^2, so they intersect and the bound is 1.
     """
-    if cols.shape[1] == shape.dim:
+    r = cols.shape[1]
+    if r == shape.dim:
         return None
-    Pi = cols @ cols.conj().T
     if _realignment_excludes_products(Pi, shape):
         return "realignment"
-    dA, dB = shape.d_A, shape.d_B
-    if dA * (dA + 1) * dB * (dB + 1) // 4 > SYMMETRIC_CERTIFICATE_MAX_DIM:
+    d_small, d_big = sorted((shape.d_A, shape.d_B))
+    if 2 * r > d_small * (d_big - 1):
         return None
-    s = np.linalg.svd(_symmetric_realignment(Pi, shape), compute_uv=False)
-    if s[0] < (PRODUCT_OVERLAP - OVERLAP_ROUNDING) ** 2:
-        return "symmetric_realignment"
+    if _symmetric_extension_bound(cols, shape) < PRODUCT_OVERLAP - OVERLAP_ROUNDING:
+        return "symmetric_extension"
     return None
 
 
@@ -372,26 +352,34 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     iterations and kept if the final overlap reaches ``PRODUCT_OVERLAP``.
     Near-duplicates are dropped.
 
-    When the largest singular value of the realigned range projector is
-    below ``PRODUCT_OVERLAP`` (less a rounding margin), no product vector
-    can reach that overlap, and the search returns ``[]`` without drawing.
-    This is level 1 of ``_product_free_certificate``; ``bsa_state`` runs
-    both levels itself before it searches at all.
-    Otherwise attempts are drawn and optimized in blocks: first the number
-    still needed, then doubling while blocks keep vectors, then, after a
-    block that keeps none, every attempt left under the cap at once.
-    They are accepted in attempt order, so the result is that of one
-    attempt at a time.
+    When ``_product_free_certificate`` proves that no product vector can
+    reach that overlap, the search returns ``[]`` without drawing.
+    Otherwise see ``_search_products``; ``max_attempts`` defaults to
+    ``40 * count``.
     """
     rho = _check_state(rho, tol)
     if rho.shape != (shape.dim, shape.dim):
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
-    rng = np.random.default_rng(seed)
     _, cols = _range(rho, tol.atol)
     Pi = cols @ cols.conj().T
-    full_range = cols.shape[1] == shape.dim
-    if not full_range and count > 0 and _realignment_excludes_products(Pi, shape):
+    if count > 0 and _product_free_certificate(cols, Pi, shape) is not None:
         return []
+    return _search_products(cols, Pi, shape, count, seed, max_attempts)
+
+
+def _search_products(cols: np.ndarray, Pi: np.ndarray, shape: BipartiteShape,
+                     count: int, seed: int,
+                     max_attempts: Optional[int] = None) -> list[ProductVector]:
+    """The search of ``candidate_products`` on a range basis and its projector.
+
+    Attempts are drawn and optimized in blocks: first the number still
+    needed, then doubling while blocks keep vectors, then, after a block
+    that keeps none, every attempt left under the cap at once.  They are
+    accepted in attempt order, so the result is that of one attempt at a
+    time.
+    """
+    rng = np.random.default_rng(seed)
+    full_range = cols.shape[1] == shape.dim
     dA, dB = shape.d_A, shape.d_B
     Pi4 = Pi.reshape(dB, dA, dB, dA)
     kept: list[ProductVector] = []
@@ -737,12 +725,13 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
         pv = ProductVector(*factors)
         return BsaDecomposition(1.0, ((1.0, pv),), pv.projector,
                                 np.zeros_like(rho, dtype=complex), 1)
-    certificate = _product_free_certificate(cols, shape)
+    Pi = cols @ cols.conj().T
+    certificate = _product_free_certificate(cols, Pi, shape)
     if certificate is not None:
         return BsaDecomposition(0.0, (), np.zeros_like(rho), rho.astype(complex), 0,
                                 certificate=certificate)
     rng = np.random.default_rng(seed)
-    V = candidate_products(rho, shape, budget, int(rng.integers(1 << 31)), tol)
+    V = _search_products(cols, Pi, shape, budget, int(rng.integers(1 << 31)))
     lambdas = np.zeros(len(V))
     # looser sweep settings than the certifying fixed-set solver: the
     # refinement rounds below recover far more than late-sweep noise gains
@@ -761,9 +750,9 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
         proposal = _barrier_terms(rho, shape, K, rng, seeds)
         V2 = [pv for _, pv in proposal]
         lam2 = np.array([w for w, _ in proposal])
-        fill = candidate_products(rho, shape, max(0, budget - len(V2)),
-                                  int(rng.integers(1 << 31)), tol,
-                                  max_attempts=8 * budget)
+        fill = _search_products(cols, Pi, shape, max(0, budget - len(V2)),
+                                int(rng.integers(1 << 31)),
+                                max_attempts=8 * budget)
         V2 += fill
         lam2 = np.concatenate([lam2, np.zeros(len(fill))])
         if len(V2) == 0:

@@ -185,3 +185,24 @@ def symmetric_realignment_dense(Pi, shape: BipartiteShape) -> np.ndarray:
     SA, SB = _sym2_basis(dA), _sym2_basis(dB)
     W = tensor(SA, SB)
     return realign(W.T @ T @ W, BipartiteShape(SA.shape[1], SB.shape[1]))
+
+
+def symmetric_extension_dense(Pi, shape: BipartiteShape) -> np.ndarray:
+    """S^dag (Pi (x) I) S from explicit matrices.
+
+    The identity acts on one more copy of the larger party (B when
+    d_B >= d_A), appended as the last tensor factor, and S is an explicit
+    orthonormal basis of the subspace symmetric under the swap of that
+    party with its copy.
+    """
+    dA, dB = shape.d_A, shape.d_B
+    d = max(dA, dB)
+    sym = _sym2_basis(d).reshape(d, d, -1)  # (party, copy, pair)
+    if dB >= dA:
+        # rows (u, m, u'): B, A, copy of B; columns (m, pair)
+        S = np.einsum("ujk,mn->umjnk", sym, np.eye(dA))
+    else:
+        # rows (u, m, m'): B, A, copy of A; columns (u, pair)
+        S = np.einsum("mjk,un->umjnk", sym, np.eye(dB))
+    S = S.reshape(shape.dim * d, -1)
+    return S.T @ np.kron(Pi, np.eye(d)) @ S

@@ -6,7 +6,8 @@ product vector and runs its own alternating power iteration.  The
 batched search must keep the same vectors in the same order, and the
 realignment certificate may skip a search only where the loop keeps
 nothing.  The same holds for the two-level certificate with which
-``bsa_state`` returns Lambda = 0 before it searches.
+``bsa_state`` returns Lambda = 0 before it searches, whose second level
+is checked against the dense matrices of ``oracles``.
 """
 
 from pathlib import Path
@@ -17,17 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiscope import bsa
-from choiscope.bsa import (PRODUCT_OVERLAP, _best_product_overlaps, _range,
+from choiscope.bsa import (OVERLAP_ROUNDING, PRODUCT_OVERLAP,
+                           _best_product_overlaps, _range,
                            _product_free_certificate, _regroup,
                            _realignment_excludes_products,
-                           _symmetric_realignment, bsa_operation, bsa_state,
-                           candidate_products)
+                           _symmetric_extension_bound, bsa_operation,
+                           bsa_state, candidate_products)
 from choiscope.generators import random_cp_channel, random_product_mixture
 from choiscope.reshape import BipartiteShape, realign, tensor_vectors
 from choiscope.serialization import load_path
 
 from conftest import random_complex
-from oracles import symmetric_realignment_dense
+from oracles import symmetric_extension_dense, symmetric_realignment_dense
 
 RANGE_TOL = 1e-9
 
@@ -153,7 +155,7 @@ def test_product_overlap_below_realignment_bound(d_A, d_B, seed):
         assert np.max(best) <= bound + 1e-12
 
 
-@pytest.mark.parametrize("kraus_count", [2, 3])
+@pytest.mark.parametrize("kraus_count", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_random_cp_choi_range_has_no_candidates(kraus_count, seed):
     shape = BipartiteShape(4, 4)
@@ -191,34 +193,43 @@ def test_batch_after_an_empty_first_block_matches_reference_loop():
     _assert_same_vectors(candidate_products(rho, shape, 2, 3), want)
 
 
-def _random_range_projector(rng, shape, rank):
+def _random_range(rng, shape, rank):
+    """Orthonormal basis of a random rank-dimensional subspace, and its projector."""
     Q, _ = np.linalg.qr(random_complex(rng, shape.dim, rank))
-    return Q @ Q.conj().T
+    return Q, Q @ Q.conj().T
 
 
-def _sigma2(Pi, shape):
-    return np.linalg.svd(_symmetric_realignment(Pi, shape), compute_uv=False)[0]
+def _extension_gate(shape):
+    """Largest rank at which the extension level runs."""
+    d_small, d_big = sorted((shape.d_A, shape.d_B))
+    return d_small * (d_big - 1) // 2
 
 
-@pytest.mark.parametrize("d_A,d_B", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+def _dense_extension_bound(Pi, shape):
+    return np.linalg.eigvalsh(symmetric_extension_dense(Pi, shape))[-1]
+
+
+@pytest.mark.parametrize("d_A,d_B", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4),
+                                     (4, 2), (4, 4)])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_symmetric_realignment_matches_dense_oracle(d_A, d_B, seed):
+def test_symmetric_extension_matches_dense_oracle(d_A, d_B, seed):
     rng = np.random.default_rng(700 + seed)
     shape = BipartiteShape(d_A, d_B)
-    for rank in (1, shape.dim // 2, shape.dim - 1):
-        Pi = _random_range_projector(rng, shape, rank)
-        got = _symmetric_realignment(Pi, shape)
-        assert np.max(np.abs(got - symmetric_realignment_dense(Pi, shape))) < 1e-12
+    for rank in (1, _extension_gate(shape), shape.dim // 2, shape.dim - 1):
+        cols, Pi = _random_range(rng, shape, rank)
+        got = _symmetric_extension_bound(cols, shape)
+        assert abs(got - _dense_extension_bound(Pi, shape)) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from([BipartiteShape(2, 2), BipartiteShape(2, 3),
-                        BipartiteShape(3, 3), BipartiteShape(4, 4)]))
+                        BipartiteShape(3, 2), BipartiteShape(3, 3),
+                        BipartiteShape(4, 4)]))
 @settings(max_examples=40, deadline=None)
-def test_squared_product_overlap_below_symmetric_bound(seed, shape):
+def test_product_overlap_below_symmetric_extension_bound(seed, shape):
     rng = np.random.default_rng(seed)
-    Pi = _random_range_projector(rng, shape, int(rng.integers(1, shape.dim)))
-    bound = _sigma2(Pi, shape)
+    cols, Pi = _random_range(rng, shape, int(rng.integers(1, shape.dim)))
+    bound = _symmetric_extension_bound(cols, shape)
     e = random_complex(rng, 8, shape.d_A)
     f = random_complex(rng, 8, shape.d_B)
     e /= np.linalg.norm(e, axis=1, keepdims=True)
@@ -227,8 +238,8 @@ def test_squared_product_overlap_below_symmetric_bound(seed, shape):
     _, _, best = _best_product_overlaps(Pi4, e, f)
     for ei, fi in zip(e, f):
         v = tensor_vectors(ei, fi)
-        assert np.vdot(v, Pi @ v).real ** 2 <= bound + 1e-12
-    assert np.max(best) ** 2 <= bound + 1e-12
+        assert np.vdot(v, Pi @ v).real <= bound + 1e-12
+    assert np.max(best) <= bound + 1e-12
 
 
 @pytest.mark.parametrize("d_A,d_B,n_terms", [(2, 2, 2), (2, 2, 3), (2, 3, 3),
@@ -242,22 +253,74 @@ def test_neither_certificate_level_fires_on_product_mixtures(d_A, d_B, n_terms, 
     assert cols.shape[1] == n_terms < shape.dim
     Pi = cols @ cols.conj().T
     # each mixed-in product vector sits in the range with overlap 1
-    assert _sigma2(Pi, shape) >= PRODUCT_OVERLAP ** 2
+    assert _symmetric_extension_bound(cols, shape) >= PRODUCT_OVERLAP
     assert not _realignment_excludes_products(Pi, shape)
-    assert _product_free_certificate(cols, shape) is None
+    assert _product_free_certificate(cols, Pi, shape) is None
 
 
-def test_symmetric_certificate_is_skipped_beyond_its_size_gate(monkeypatch):
-    shape = BipartiteShape(6, 6)  # dim Sym^2 = 21, and 21 * 21 > the gate
-    assert 21 * 21 > bsa.SYMMETRIC_CERTIFICATE_MAX_DIM
+@pytest.mark.parametrize("d_A,d_B", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])
+def test_symmetric_extension_bound_is_one_above_its_gate(d_A, d_B):
+    rng = np.random.default_rng(800)
+    shape = BipartiteShape(d_A, d_B)
+    for rank in range(_extension_gate(shape) + 1, shape.dim):
+        _, Pi = _random_range(rng, shape, rank)
+        assert _dense_extension_bound(Pi, shape) >= 1.0 - 1e-12
 
-    def refuse(Pi, shape):
-        raise AssertionError("level 2 ran beyond its size gate")
 
-    monkeypatch.setattr(bsa, "_symmetric_realignment", refuse)
-    Q, _ = np.linalg.qr(random_complex(np.random.default_rng(3), 36, 30))
-    assert not _realignment_excludes_products(Q @ Q.conj().T, shape)
-    assert _product_free_certificate(Q, shape) is None
+def test_symmetric_extension_is_skipped_beyond_its_gate(monkeypatch):
+    shape = BipartiteShape(4, 4)
+    rank = _extension_gate(shape) + 1
+
+    def refuse(cols, shape):
+        raise AssertionError("level 2 ran beyond its gate")
+
+    monkeypatch.setattr(bsa, "_symmetric_extension_bound", refuse)
+    cols, Pi = _random_range(np.random.default_rng(3), shape, rank)
+    assert not _realignment_excludes_products(Pi, shape)
+    assert _product_free_certificate(cols, Pi, shape) is None
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_symmetric_extension_decides_the_antisymmetric_subspace(d):
+    shape = BipartiteShape(d, d)
+    i, j = np.triu_indices(d, 1)
+    cols = np.zeros((d * d, i.size))
+    cols[i * d + j, np.arange(i.size)] = np.sqrt(0.5)
+    cols[j * d + i, np.arange(i.size)] = -np.sqrt(0.5)
+    Pi = cols @ cols.T
+    assert not _realignment_excludes_products(Pi, shape)
+    assert _product_free_certificate(cols, Pi, shape) == "symmetric_extension"
+    dec = bsa_state(Pi / i.size, shape, budget=5, seed=0)
+    assert dec.certificate == "symmetric_extension" and dec.lambda_total == 0.0
+
+
+@pytest.mark.parametrize("d_A,d_B", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_symmetric_extension_decides_what_two_copies_decide(d_A, d_B):
+    rng = np.random.default_rng(900)
+    shape = BipartiteShape(d_A, d_B)
+    decided = 0
+    for rank in range(1, shape.dim):
+        for _ in range(4):
+            cols, Pi = _random_range(rng, shape, rank)
+            sigma2 = np.linalg.svd(symmetric_realignment_dense(Pi, shape),
+                                   compute_uv=False)[0]
+            if sigma2 < (PRODUCT_OVERLAP - OVERLAP_ROUNDING) ** 2:
+                decided += 1
+                assert _product_free_certificate(cols, Pi, shape) is not None
+    assert decided > 0
+
+
+@pytest.mark.parametrize("kraus_count", [2, 3, 4, 5, 6, 7])
+def test_certificate_on_seeded_random_cp_ranges(kraus_count):
+    shape = BipartiteShape(4, 4)
+    fired = 0
+    for seed in range(40):
+        E = _regroup(random_cp_channel(4, 4, seed, kraus_count=kraus_count).choi, 2)
+        _, cols = _range((E + E.conj().T) / (2.0 * np.trace(E).real), 1e-9)
+        assert cols.shape[1] == kraus_count
+        fired += _product_free_certificate(cols, cols @ cols.conj().T, shape) is not None
+    # measured on these seeds; 7 is above the extension's gate at 4x4
+    assert fired == (40 if kraus_count <= _extension_gate(shape) else 0)
 
 
 def _regrouped_choi_state(channel):
@@ -265,7 +328,7 @@ def _regrouped_choi_state(channel):
     return (E + E.conj().T) / (2.0 * np.trace(E).real)
 
 
-@pytest.mark.parametrize("kraus_count", [2, 3])
+@pytest.mark.parametrize("kraus_count", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_bsa_state_returns_at_once_on_product_free_ranges(kraus_count, seed):
     shape = BipartiteShape(4, 4)
@@ -278,7 +341,7 @@ def test_bsa_state_returns_at_once_on_product_free_ranges(kraus_count, seed):
     if kraus_count == 2:
         assert dec.certificate == "realignment"
     else:
-        assert dec.certificate in ("realignment", "symmetric_realignment")
+        assert dec.certificate in ("realignment", "symmetric_extension")
     op = bsa_operation(channel, 2, budget=2, seed=seed)
     assert op.lam == 0.0 and op.certificate == dec.certificate
     assert op.verdict.kind == "inconclusive"
@@ -290,11 +353,11 @@ def test_symmetric_certificate_decides_the_cli_fixture():
     path = Path(__file__).parent / "fixtures" / "random_cp4x4.json"
     shape = BipartiteShape(4, 4)
     rho = _regrouped_choi_state(load_path(path).to_channel())
-    Pi = _range_projector(rho)
+    _, cols = _range(rho, 1e-9)
     # level 1 cannot decide this rank-4 range; level 2 can
-    assert not _realignment_excludes_products(Pi, shape)
-    assert _sigma2(Pi, shape) < 0.99
-    assert bsa_state(rho, shape, budget=5, seed=0).certificate == "symmetric_realignment"
+    assert not _realignment_excludes_products(cols @ cols.conj().T, shape)
+    assert _symmetric_extension_bound(cols, shape) < 0.99
+    assert bsa_state(rho, shape, budget=5, seed=0).certificate == "symmetric_extension"
 
 
 def test_no_certificate_on_full_range_or_separable_inputs():
@@ -302,3 +365,45 @@ def test_no_certificate_on_full_range_or_separable_inputs():
     assert bsa_state(np.eye(4) / 4.0, shape, budget=5, seed=0).certificate is None
     rho = random_product_mixture(2, 2, 3, seed=7)
     assert bsa_state(rho, shape, budget=5, seed=0).certificate is None
+
+
+def test_bsa_state_factors_rho_once(monkeypatch):
+    # each search of bsa_state reuses its range basis: one eigh of rho
+    # outside the ascent (whose first sweep meets rho itself) and one SVD,
+    # the level-1 certificate, however many refinement rounds search again
+    shape = BipartiteShape(2, 2)
+    rho = random_product_mixture(2, 2, 3, seed=7)
+    calls = {"eigh": 0, "svd": 0, "search": 0}
+    in_ascent = [0]
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    ascend, search = bsa._ascend, bsa._search_products
+
+    def counting_eigh(a, *args, **kwargs):
+        if (not in_ascent[0] and a.shape == rho.shape
+                and np.allclose(a, rho, rtol=0.0, atol=1e-14)):
+            calls["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        calls["svd"] += 1
+        return svd(a, *args, **kwargs)
+
+    def marked_ascend(*args, **kwargs):
+        in_ascent[0] += 1
+        try:
+            return ascend(*args, **kwargs)
+        finally:
+            in_ascent[0] -= 1
+
+    def counting_search(*args, **kwargs):
+        calls["search"] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(bsa, "_ascend", marked_ascend)
+    monkeypatch.setattr(bsa, "_search_products", counting_search)
+    dec = bsa_state(rho, shape, budget=6, seed=0)
+    assert dec.certificate is None and dec.lambda_total > 0.99
+    assert calls["search"] >= 2
+    assert calls["eigh"] == 1 and calls["svd"] == 1
