@@ -52,6 +52,9 @@ OVERLAP_ROUNDING = 1e-10
 # Projector-pair updates per sweep of the coordinate ascent (one per term
 # when there are fewer terms).
 PAIR_CAP = 500
+# Refinement rounds of bsa_state: the cap, and the least gain over three.
+MAX_ROUNDS = 12
+STALL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -106,22 +109,27 @@ class OperationBsa:
     certificate: Optional[str] = None  # as in BsaDecomposition
 
 
-def _check_state(rho, tol: Tolerance) -> np.ndarray:
+def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None):
+    """The Hermitian part of a valid BSA input and its one ``eigh`` pair; with
+    ``choi_trace`` the input is a map's regrouped Choi matrix over that trace,
+    and the map's CP floor is checked first."""
     try:
         rho = check_hermitian(rho, Tolerance(atol=max(1e-8, tol.atol), rtol=tol.rtol))
     except Exception as exc:
         raise NotAState(str(exc)) from exc
     # eigh reads one triangle; the Hermitian part makes rho and rho^dag agree
     rho = (rho + rho.conj().T) / 2.0
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < RESIDUAL_MIN_EIG:
-        raise NotAState(f"min eigenvalue {w[0]:.3e} below feasibility tolerance")
-    return rho
-
-
-def _range(rho: np.ndarray, atol: float):
-    """Eigenvalues of rho above ``atol`` and their eigenvectors (columns)."""
     w, V = np.linalg.eigh(rho)
+    if choi_trace is not None and choi_trace * w[0] < -tol.atol:
+        raise NotCompletelyPositive("bsa_operation requires a CP map")
+    if w[0] < min(RESIDUAL_MIN_EIG, -tol.atol):
+        raise NotAState(f"min eigenvalue {w[0]:.3e} below feasibility tolerance")
+    return rho, (w, V)
+
+
+def _range(rho: np.ndarray, atol: float, eig=None):
+    """Eigenvalues above ``atol`` and eigenvectors of rho, or of eig = eigh(rho)."""
+    w, V = np.linalg.eigh(rho) if eig is None else eig
     keep = w > atol
     return w[keep], V[:, keep]
 
@@ -158,15 +166,15 @@ def max_lambda(rho, psi, tol: Tolerance = DEFAULT_TOL) -> float:
     Zero when psi has a component outside range(rho) beyond tolerance,
     otherwise ``1 / <psi| rho^+ |psi>``.
     """
-    rho = _check_state(rho, tol)
+    rho, eig = _check_state(rho, tol)
     psi = _unit_vector(psi, rho.shape[0])
-    return _max_lambda_raw(_range(rho, tol.atol), psi)
+    return _max_lambda_raw(_range(rho, tol.atol, eig), psi)
 
 
 def max_lambda_bisection(rho, psi, iterations: int = 60,
                          tol: Tolerance = DEFAULT_TOL) -> float:
     """Independent oracle: bisect Lambda on the PSD feasibility predicate."""
-    rho = _check_state(rho, tol)
+    rho, _ = _check_state(rho, tol)
     psi = _unit_vector(psi, rho.shape[0])
     P = np.outer(psi, psi.conj())
 
@@ -196,18 +204,17 @@ def max_pair(rho, psi1, psi2, tol: Tolerance = DEFAULT_TOL):
 
     Closed form; see ``_max_pair_raw``.
     """
-    rho = _check_state(rho, tol)
+    rho, eig = _check_state(rho, tol)
     psi1 = _unit_vector(psi1, rho.shape[0])
     psi2 = _unit_vector(psi2, rho.shape[0])
     if abs(np.vdot(psi1, psi2)) ** 2 > 1.0 - 1e-12:
         raise ValueError("max_pair requires two distinct projectors")
-    P1 = np.outer(psi1, psi1.conj())
-    P2 = np.outer(psi2, psi2.conj())
-    return _max_pair_raw(rho, psi1, psi2, P1, P2, tol.atol)
+    return _max_pair_raw(rho, eig, psi1, psi2, np.outer(psi1, psi1.conj()),
+                         np.outer(psi2, psi2.conj()), tol.atol)
 
 
-def _max_pair_raw(rho, psi1, psi2, P1, P2, atol):
-    """max l1 + l2 subject to rho - l1*P1 - l2*P2 PSD; psi1, psi2 unit.
+def _max_pair_raw(rho, eig, psi1, psi2, P1, P2, atol):
+    """max l1 + l2 with rho - l1*P1 - l2*P2 PSD; psi1, psi2 unit, eig = eigh(rho).
 
     On range(rho) the constraint is a 2x2 condition on a = <1|rho^+|1>,
     b = <2|rho^+|2> and c = |<1|rho^+|2>|, so the optimum is the best of
@@ -218,9 +225,7 @@ def _max_pair_raw(rho, psi1, psi2, P1, P2, atol):
     min(0, that of rho) - atol: an ascent residual may sit slightly
     below zero where P1 and P2 do not reach.
     """
-    w_all, V = np.linalg.eigh(rho)
-    keep = w_all > atol
-    w, cols = w_all[keep], V[:, keep]
+    w, cols = _range(rho, atol, eig)
     c1 = cols.conj().T @ psi1
     c2 = cols.conj().T @ psi2
     in1 = 1.0 - float(np.sum(np.abs(c1) ** 2)) <= RANGE_TOL
@@ -236,7 +241,7 @@ def _max_pair_raw(rho, psi1, psi2, P1, P2, atol):
     d = a * b - c * c
     if in1 and in2 and d > 1e-300 and a > c and b > c:
         l1, l2 = (b - c) / d, (a - c) / d
-        floor = min(0.0, float(w_all[0])) - atol
+        floor = min(0.0, float(eig[0][0])) - atol
         if np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] >= floor:
             points.append((l1, l2))
     return max(points, key=sum)
@@ -357,10 +362,10 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     Otherwise see ``_search_products``; ``max_attempts`` defaults to
     ``40 * count``.
     """
-    rho = _check_state(rho, tol)
+    rho, eig = _check_state(rho, tol)
     if rho.shape != (shape.dim, shape.dim):
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
-    _, cols = _range(rho, tol.atol)
+    _, cols = _range(rho, tol.atol, eig)
     Pi = cols @ cols.conj().T
     if count > 0 and _product_free_certificate(cols, Pi, shape) is not None:
         return []
@@ -489,8 +494,8 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
                 else:
                     a, b = rng.choice(len(V), size=2, replace=False)
                 rho_ab = delta + lambdas[a] * projs[a] + lambdas[b] * projs[b]
-                l1, l2 = _max_pair_raw(rho_ab, vecs[a], vecs[b],
-                                       projs[a], projs[b], tol.atol)
+                l1, l2 = _max_pair_raw(rho_ab, np.linalg.eigh(rho_ab), vecs[a],
+                                       vecs[b], projs[a], projs[b], tol.atol)
                 if l1 + l2 > lambdas[a] + lambdas[b]:
                     delta = rho_ab - l1 * projs[a] - l2 * projs[b]
                     lambdas[a], lambdas[b] = l1, l2
@@ -577,7 +582,6 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
                   tol: Tolerance = DEFAULT_TOL,
                   max_sweeps: int = 500, sweep_tol: float = 1e-9,
                   seed: int = 0,
-                  shape: Optional[BipartiteShape] = None,
                   trace: Optional[list] = None) -> BsaDecomposition:
     """Optimal separable approximation over a fixed product-vector set.
 
@@ -586,9 +590,9 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     weight stalls.  The total is nondecreasing across sweeps and the
     residual stays PSD within the feasibility tolerance.
     """
-    rho = _check_state(rho, tol)
+    rho, eig = _check_state(rho, tol)
     V = list(V)
-    _, cols = _range(rho, tol.atol)
+    _, cols = _range(rho, tol.atol, eig)
     Pi = cols @ cols.conj().T
     for pv in V:
         v = pv.vector
@@ -601,7 +605,7 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     # weight problem; the sweeps then certify feasibility and the
     # coordinate-maximality exit conditions
     lambdas = _fixed_weights_barrier(rho, [pv.vector for pv in V], rng)
-    delta, converged = _ascend(rho, V, lambdas, shape, tol, rng,
+    delta, converged = _ascend(rho, V, lambdas, None, tol, rng,
                                max_sweeps=max_sweeps, sweep_tol=sweep_tol,
                                vector_update=False, trace=trace)
     result = _assemble(rho, lambdas, V, delta, len(V))
@@ -696,8 +700,7 @@ def _improve_term(factor, pv: ProductVector,
 
 
 def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
-              seed: int = 0, tol: Tolerance = DEFAULT_TOL,
-              max_rounds: int = 12, stall_tol: float = 1e-5) -> BsaDecomposition:
+              seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> BsaDecomposition:
     """Best separable approximation of a normalized bipartite state.
 
     Candidate generation plus coordinate ascent, with refinement rounds
@@ -711,12 +714,19 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
     residual rho itself, names that certificate; nothing is searched or
     seeded.
     """
-    rho = _check_state(rho, tol)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    rho, eig = _check_state(rho, tol)
     if rho.shape != (shape.dim, shape.dim):
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
         raise NotAState("bsa_state expects a normalized (trace-1) state")
-    w, cols = _range(rho, tol.atol)
+    return _bsa_state(rho, _range(rho, tol.atol, eig), shape, budget, seed, tol)
+
+
+def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
+    """The BSA of ``bsa_state`` on a checked state and its range factor."""
+    w, cols = factor
     if w.size == 1:
         # pure state: Lambda is 1 for a product vector, 0 otherwise
         factors = _schmidt_factors(cols[:, 0], shape, tol)
@@ -740,7 +750,7 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
     best = (list(V), np.asarray(lambdas).copy(), delta)
     history = [float(np.sum(lambdas))]
     K = min(budget, max(4 * shape.dim, 16))
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if history[-1] >= 1.0 - 1e-9:
             break
         # re-seed near the current high-weight directions, re-run, keep best
@@ -762,7 +772,7 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
         if float(np.sum(lam2)) > float(np.sum(best[1])):
             best = (list(V2), lam2.copy(), delta2)
         history.append(float(np.sum(best[1])))
-        if len(history) >= 4 and history[-1] - history[-4] < stall_tol:
+        if len(history) >= 4 and history[-1] - history[-4] < STALL_TOL:
             break
     V_b, lam_b, delta_b = best
     return _assemble(rho, lam_b, V_b, delta_b, len(V_b))
@@ -819,61 +829,56 @@ def kraus_factor_split(operators: Sequence[np.ndarray], shape: BipartiteShape,
 def bsa_operation(channel: Channel, d: int, budget: int = 500,
                   seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> OperationBsa:
     """BSA of a CP map on a d (x) d bipartite system via its Choi matrix."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     n = d * d
     if channel.d_in != n or channel.d_out != n:
         raise DimensionMismatch(
             f"expected a channel on a {d}x{d} bipartite system, got "
             f"{channel.d_in} -> {channel.d_out}")
     D = channel.choi
-    w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
-    if w[0] < -tol.atol or np.max(np.abs(D - D.conj().T)) > max(1e-8, tol.atol):
+    if np.max(np.abs(D - D.conj().T)) > max(1e-8, tol.atol):
         raise NotCompletelyPositive("bsa_operation requires a CP map")
     E = _regroup(D, d)
     trace = float(np.trace(E).real)
     if trace <= 0:
         raise NotCompletelyPositive("zero map has no BSA")
-    rho_E = (E + E.conj().T) / (2.0 * trace)
+    rho_E, eig = _check_state((E + E.conj().T) / (2.0 * trace), tol, trace)
     shape = BipartiteShape(n, n)
-    dec = bsa_state(rho_E, shape, budget=budget, seed=seed, tol=tol)
+    dec = _bsa_state(rho_E, _range(rho_E, tol.atol, eig), shape, budget, seed, tol)
     kraus = [np.sqrt(trace * lam) * tensor(devectorize(pv.e, d, d),
                                            devectorize(pv.f, d, d))
              for lam, pv in dec.terms]
     bsa_part = Channel.from_kraus(kraus or [np.zeros((n, n))])
-    ent_choi = D - bsa_part.choi
-    ent_part = Channel.from_choi(ent_choi, n, n)
+    ent_part = Channel.from_choi(D - bsa_part.choi, n, n)
+    verdict = _verdict(D, bsa_part, ent_part, shape, tol, dec.lambda_total,
+                       (trace * eig[0], eig[1]))
     return OperationBsa(bsa_part=bsa_part, ent_part=ent_part,
                         lam=dec.lambda_total, terms=dec.terms,
-                        verdict=_verdict(D, bsa_part, ent_part, d, tol,
-                                         dec.lambda_total),
-                        certificate=dec.certificate)
+                        verdict=verdict, certificate=dec.certificate)
 
 
-def _verdict(D, bsa_part: Channel, ent_part: Channel, d: int,
-             tol: Tolerance, lam: float) -> SeparabilityVerdict:
+def _verdict(D, bsa_part: Channel, ent_part: Channel, shape: BipartiteShape,
+             tol: Tolerance, lam: float, eig) -> SeparabilityVerdict:
     """Separability verdict from a map's Choi matrix and its BSA split.
 
     Separable when the entangled remainder is numerically zero; entangled
     when ``lam`` is 0, so that the residual is the input itself, and its
-    range is one-dimensional and spanned by a non-product vector;
-    inconclusive otherwise.  For ``lam > 0`` a rank-one entangled residual
-    proves nothing: a separable input can split into a separable part and
-    an entangled pure residual.
+    range, read from ``eig`` = eigh of the regrouped D, is one-dimensional
+    and spanned by a non-product vector; inconclusive otherwise.  For
+    ``lam > 0`` a rank-one entangled residual proves nothing: a separable
+    input can split into a separable part and an entangled pure residual.
     """
     norm_D = float(np.linalg.norm(D))
     norm_ent = float(np.linalg.norm(ent_part.choi))
     if norm_ent <= 1e-6 * norm_D:
         return SeparabilityVerdict("separable",
                                    witness_kraus=tuple(bsa_part.kraus or ()))
-    if lam != 0.0:
-        return SeparabilityVerdict("inconclusive", ent_fraction=norm_ent / norm_D)
-    residual = _regroup(ent_part.choi, d)
-    w, V = np.linalg.eigh((residual + residual.conj().T) / 2.0)
-    support = np.sum(w > 1e-8 * max(w[-1], 1.0))
-    if support == 1:
-        shape = BipartiteShape(d * d, d * d)
-        if _schmidt_factors(V[:, -1], shape, tol) is None:
-            return SeparabilityVerdict("entangled", ent_fraction=norm_ent / norm_D)
-    return SeparabilityVerdict("inconclusive", ent_fraction=norm_ent / norm_D)
+    w, V = eig
+    entangled = (lam == 0.0 and np.sum(w > 1e-8 * max(w[-1], 1.0)) == 1
+                 and _schmidt_factors(V[:, -1], shape, tol) is None)
+    return SeparabilityVerdict("entangled" if entangled else "inconclusive",
+                               ent_fraction=norm_ent / norm_D)
 
 
 def is_separable_operation(channel: Channel, d: int, budget: int = 500,

@@ -130,12 +130,6 @@ class Channel:
             return list(self.kraus)
         return choi_to_kraus(self.choi, self.d_in, self.d_out, tol)
 
-    def with_kraus(self, tol: Tolerance = DEFAULT_TOL) -> "Channel":
-        if self.kraus is not None:
-            return self
-        return Channel(self.liouville, self.d_in, self.d_out, self.choi,
-                       kraus=tuple(choi_to_kraus(self.choi, self.d_in, self.d_out, tol)))
-
 
 def identity_channel(N: int) -> Channel:
     return Channel.from_kraus([np.eye(N)])

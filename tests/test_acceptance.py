@@ -286,7 +286,7 @@ def test_criterion_08_bsa_states():
                           np.exp(1j * pa) * np.sin(ta / 2)])
             grid.append(e)
     V = [ProductVector(e, f) for e in grid for f in grid]
-    oracle = osa_fixed_set(werner, V, shape=sh, seed=0)
+    oracle = osa_fixed_set(werner, V, seed=0)
     dec_w = bsa_state(werner, sh, budget=500, seed=0)
     ok &= abs(dec_w.lambda_total - oracle.lambda_total) <= 2e-2
     # two-seed agreement of the decomposition, not just the value
@@ -298,7 +298,7 @@ def test_criterion_08_bsa_states():
     # per-sweep monotonicity of the total weight
     trace = []
     osa_fixed_set(random_product_mixture(2, 2, 4, seed=8),
-                  V[:200], shape=sh, seed=0, trace=trace)
+                  V[:200], seed=0, trace=trace)
     ok &= all(b - a >= -1e-10 for a, b in zip(trace, trace[1:]))
     _report(8, "best separable approximation of states", ok)
 

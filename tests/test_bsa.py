@@ -305,7 +305,10 @@ def test_verdict_ignores_rank_one_residual_when_lambda_is_positive():
     Phi = np.outer(phi, phi)
     sep = Channel.from_choi(_regroup(t / 16 * (np.eye(16) - Phi), 2), 4, 4)
     ent = Channel.from_choi(_regroup(t / 16 * Phi, 2), 4, 4)
-    verdict = _verdict(D, sep, ent, 2, DEFAULT_TOL, 15 / 16)
+    # the factor of that residual is what the lambda = 0 rule would read
+    residual_eig = np.linalg.eigh(_regroup(ent.choi, 2))
+    verdict = _verdict(D, sep, ent, BipartiteShape(4, 4), DEFAULT_TOL, 15 / 16,
+                       residual_eig)
     assert verdict.kind == "inconclusive"
 
 
@@ -354,3 +357,46 @@ def test_bsa_state_check_uses_hermitian_part(rng):
     M = random_density(rng, 4) + _anti_hermitian(rng, 4, 2e-7)
     psi = random_complex(rng, 4)
     assert max_lambda(M, psi, tol=loose) == max_lambda(M.conj().T, psi, tol=loose)
+
+
+def test_bsa_state_floor_follows_tolerance():
+    # least eigenvalue -6.1e-8: below the 1e-8 floor, above a loose atol
+    loose = Tolerance(atol=1e-6, rtol=1e-6)
+    U = np.linalg.qr(random_complex(np.random.default_rng(5), 4, 4))[0]
+    w = np.array([-6.1e-8, 0.2, 0.3, 0.5 + 6.1e-8])
+    rho = (U * w) @ U.conj().T
+    psi = U[:, 3]
+    for call in (lambda tol: max_lambda(rho, psi, tol=tol),
+                 lambda tol: bsa_state(rho, SH22, budget=5, seed=0, tol=tol)):
+        with pytest.raises(NotAState):
+            call(DEFAULT_TOL)
+        call(loose)
+    assert abs(max_lambda(rho, psi, tol=loose) - w[3]) < 1e-12
+
+
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_negative_budget_is_rejected_before_any_work(budget):
+    # a certified map would return lambda = 0 and a Werner state would fail
+    # deep inside the barrier ascent; both must name the argument instead
+    with pytest.raises(ValueError, match="budget"):
+        bsa_state(werner_state(0.5), SH22, budget=budget, seed=0)
+    with pytest.raises(ValueError, match="budget"):
+        bsa_operation(random_cp_channel(4, 4, 1, kraus_count=2), 2,
+                      budget=budget, seed=0)
+
+
+@pytest.mark.parametrize("min_eig,error", [(-1e-6, NotCompletelyPositive),
+                                           (-5e-10, NotAState)])
+def test_operation_checks_cp_before_the_state_floor(min_eig, error):
+    # Choi trace 1e-3, so normalizing scales the least eigenvalue by 1e3:
+    # -1e-6 fails the CP floor (atol) and the state floor (1e-8) both and
+    # must be reported as not CP; -5e-10 passes the CP floor and fails only
+    # the normalized one
+    rng = np.random.default_rng(11)
+    U = np.linalg.qr(random_complex(rng, 16, 16))[0]
+    w = np.full(16, 1e-3 / 15)
+    w[0] = min_eig
+    w[1:] -= min_eig / 15
+    ch = Channel.from_choi((U * w) @ U.conj().T, 4, 4)
+    with pytest.raises(error):
+        bsa_operation(ch, 2, budget=2, seed=0)

@@ -23,7 +23,8 @@ from choiscope.bsa import (OVERLAP_ROUNDING, PRODUCT_OVERLAP,
                            _product_free_certificate, _regroup,
                            _realignment_excludes_products,
                            _symmetric_extension_bound, bsa_operation,
-                           bsa_state, candidate_products)
+                           bsa_state, candidate_products, max_lambda,
+                           osa_fixed_set)
 from choiscope.generators import random_cp_channel, random_product_mixture
 from choiscope.reshape import BipartiteShape, realign, tensor_vectors
 from choiscope.serialization import load_path
@@ -407,3 +408,67 @@ def test_bsa_state_factors_rho_once(monkeypatch):
     assert dec.certificate is None and dec.lambda_total > 0.99
     assert calls["search"] >= 2
     assert calls["eigh"] == 1 and calls["svd"] == 1
+
+
+def _count_decompositions(monkeypatch, matches):
+    """Count eigh and eigvalsh calls outside ``_ascend`` on matrices that
+    ``matches`` accepts."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    in_ascent = [0]
+    ascend = bsa._ascend
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            if not in_ascent[0] and matches(np.asarray(a)):
+                calls[name] += 1
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    def marked_ascend(*args, **kwargs):
+        in_ascent[0] += 1
+        try:
+            return ascend(*args, **kwargs)
+        finally:
+            in_ascent[0] -= 1
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    monkeypatch.setattr(bsa, "_ascend", marked_ascend)
+    return calls
+
+
+def test_each_bsa_entry_point_factors_its_input_once(monkeypatch):
+    # one eigh of rho serves the state check and the range; no eigvalsh
+    shape = BipartiteShape(2, 2)
+    rho = random_product_mixture(2, 2, 3, seed=7)
+    V = candidate_products(rho, shape, 4, seed=0)
+    psi = V[0].vector
+    entry_points = {
+        "max_lambda": lambda: max_lambda(rho, psi),
+        "candidate_products": lambda: candidate_products(rho, shape, 4, seed=1),
+        "osa_fixed_set": lambda: osa_fixed_set(rho, V, seed=0),
+        "bsa_state": lambda: bsa_state(rho, shape, budget=6, seed=0),
+    }
+    for name, call in entry_points.items():
+        calls = _count_decompositions(
+            monkeypatch, lambda a: a.shape == rho.shape
+            and np.allclose(a, rho, rtol=0.0, atol=1e-14))
+        call()
+        assert calls == {"eigh": 1, "eigvalsh": 0}, name
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kraus_count,level,decompositions",
+                         [(2, "realignment", 1), (4, "symmetric_extension", 2)])
+def test_bsa_operation_factors_the_regrouped_choi_once(monkeypatch, kraus_count,
+                                                       level, decompositions):
+    # one eigh serves the CP check, the state BSA and the verdict; level 2
+    # of the certificate adds the eigvalsh of its 16 x 16 Gram matrix
+    channel = random_cp_channel(4, 4, 0, kraus_count=kraus_count)
+    calls = _count_decompositions(monkeypatch, lambda a: a.shape == (16, 16))
+    op = bsa_operation(channel, 2, budget=2, seed=0)
+    assert op.lam == 0.0 and op.certificate == level
+    assert calls["eigh"] + calls["eigvalsh"] == decompositions
+    assert calls["eigh"] == 1
