@@ -32,7 +32,8 @@ def run(config: SurveyConfig) -> dict:
     for k in range(config.count):
         ch = random_cp_channel(4, 4, seed=config.seed * 10_000 + k)
         report = validate(ch)
-        assert report.completely_positive and report.trace_preserving
+        if not (report.completely_positive and report.trace_preserving):
+            raise SystemExit(f"random_channel_survey: channel {k} is not CP and TP: {report}")
         res = bsa_operation(ch, 2, budget=config.budget, seed=config.seed)
         tally[res.verdict.kind] += 1
         certificates[res.certificate or "null"] += 1

@@ -88,7 +88,10 @@ class Channel:
 
     The Choi matrix is computed eagerly so instances are immutable and
     freely shareable.  ``kraus`` is kept when the channel was built from
-    (or converted to) an operator-sum form.
+    (or converted to) an operator-sum form, and when set it is an
+    operator-sum form of ``liouville`` and ``choi``: ``D = sum_j
+    vec(G_j) vec(G_j)^dag``.  ``apply``, ``kraus_operators`` and
+    ``validate`` rely on this without checking it.
     """
 
     liouville: np.ndarray
@@ -183,7 +186,15 @@ class ValidationReport:
 
 
 def validate(channel: Channel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    """Diagnose the channel; never raises, the report carries the findings."""
+    """Diagnose the channel; never raises, the report carries the findings.
+
+    A channel carrying r < n = d_out * d_in Kraus operators has
+    ``D = K K^dag`` with r columns: it is PSD by construction and singular,
+    so its least eigenvalue is exactly 0 and no decomposition is made.
+    Every other channel (no Kraus operators, or r >= n) takes the spectrum
+    of the Hermitian part of ``D``.  The hermiticity and trace checks read
+    the stored matrices on both paths.
+    """
     D = channel.choi
     L = channel.liouville
     hermiticity = bool(np.max(np.abs(D - D.conj().T)) <= tol.atol)
@@ -194,15 +205,18 @@ def validate(channel: Channel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport
                                channel.d_in, channel.d_in)
     gap = np.eye(channel.d_in) - (unital_image + unital_image.conj().T) / 2.0
     trace_nonincreasing = bool(np.linalg.eigvalsh(gap)[0] >= -tol.atol)
-    w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
-    completely_positive = hermiticity and bool(w[0] >= -tol.atol)
+    if channel.kraus is not None and len(channel.kraus) < D.shape[0]:
+        min_eig = 0.0
+    else:
+        min_eig = float(np.linalg.eigvalsh((D + D.conj().T) / 2.0)[0])
+    completely_positive = hermiticity and min_eig >= -tol.atol
     return ValidationReport(
         hermiticity_preserving=hermiticity,
         trace_preserving=trace_preserving,
         trace_nonincreasing=trace_nonincreasing,
         completely_positive=completely_positive,
         choi_trace=float(np.trace(D).real),
-        min_choi_eigenvalue=float(w[0]),
+        min_choi_eigenvalue=min_eig,
     )
 
 

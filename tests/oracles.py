@@ -80,6 +80,19 @@ def choi_from_definition(operators: Sequence[np.ndarray]) -> np.ndarray:
     return D
 
 
+def choi_from_kraus_vectors(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """D = sum_j vec(G_j) vec(G_j)^dag with numpy alone.
+
+    ``vec`` stacks columns, so entry ``u * d_out + m`` of vec(G) is
+    ``G[m, u]``; an oracle for the operator-sum invariant of ``Channel``.
+    """
+    D = 0
+    for G in operators:
+        v = np.asarray(G, dtype=complex).reshape(-1, order="F")
+        D = D + np.outer(v, v.conj())
+    return D
+
+
 def basis_resolution_checks(basis: OperatorBasis, atol: float = 1e-9) -> bool:
     """Check sum_a E_a (x) E_a^* = |I>><<I| and sum_a E_a (x) E_a^dag = S."""
     N = basis.dim

@@ -38,6 +38,7 @@ def test_transpose_channel_choi_is_swap():
     rep = validate(ch)
     assert rep.hermiticity_preserving and rep.trace_preserving
     assert not rep.completely_positive
+    assert abs(rep.min_choi_eigenvalue + 1) < 1e-10
 
 
 def test_choi_equals_definition(rng):
@@ -124,7 +125,9 @@ def test_half_transpose_mix_is_not_cp():
     m = mix([0.5, 0.5], [identity_channel(2), transpose_channel(2)])
     w = np.linalg.eigvalsh(m.choi)
     assert abs(w[0] + 0.5) < 1e-10
-    assert not validate(m).completely_positive
+    rep = validate(m)
+    assert not rep.completely_positive
+    assert abs(rep.min_choi_eigenvalue + 0.5) < 1e-10
 
 
 def test_boundary_mix_depolarizing_transpose():

@@ -271,3 +271,15 @@ def test_gen_rejects_sizes_below_one(tmp_path, capsys, argv):
     assert code == EXIT_IO
     assert text is None
     assert "dimensions must be >= 1" in capsys.readouterr().err
+
+
+def test_inspect_kraus_channel_reads_cp_without_spectrum_noise(tmp_path):
+    # three Kraus operators on a 9-dimensional Choi matrix: D = K K^dag is
+    # singular, so its least eigenvalue is exactly 0, not rounding noise
+    code, _ = run(tmp_path, "gen", "random-cp", "3", "--seed", "1", name="cp3.json")
+    assert code == EXIT_OK
+    code, text = run(tmp_path, "inspect", str(tmp_path / "cp3.json"))
+    assert code == EXIT_OK
+    report = json.loads(text)
+    assert report["completely_positive"] is True
+    assert report["min_choi_eigenvalue"] == 0

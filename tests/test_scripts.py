@@ -1,5 +1,7 @@
 """The experiment scripts reject bad arguments and report their tallies."""
 
+import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -33,3 +35,15 @@ def test_survey_tallies_certificates():
     out = json.loads(done.stdout)
     assert sum(out["certificates"].values()) == 3
     assert set(out["certificates"]) == {"realignment", "symmetric_extension", "null"}
+
+
+def test_survey_stops_on_a_channel_that_fails_validation(monkeypatch):
+    # an explicit check, not an assert, so it also holds under python -O
+    spec = importlib.util.spec_from_file_location("random_channel_survey", SURVEY)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    real = survey.validate
+    monkeypatch.setattr(survey, "validate", lambda ch: dataclasses.replace(
+        real(ch), completely_positive=False))
+    with pytest.raises(SystemExit, match="channel 0 is not CP and TP"):
+        survey.run(survey.SurveyConfig(count=1, budget=0))
