@@ -9,6 +9,7 @@ feasibility failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -220,7 +221,9 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process (it holds no per-call state)."""
     parser = argparse.ArgumentParser(
         prog="choiscope",
         description="Calculus of quantum operations as matrices.")

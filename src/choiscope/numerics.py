@@ -37,7 +37,7 @@ def as_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():  # a complex entry is finite iff both parts are
         raise NonFinite("matrix contains non-finite entries")
     return M
 

@@ -5,10 +5,17 @@ Choi matrix, or a density matrix.  Complex entries are [re, im] pairs,
 matrices are row-major nested lists with an explicit dims field, and the
 canonical writer (sorted keys, 17-significant-digit floats) makes
 serialize(parse(x)) byte-identical.
+
+Matrices are handled whole: the writer fills one ``%.17g`` template per
+matrix shape from the matrix's float view, and the parser checks and
+converts each matrix in whole-array passes.  Both agree byte for byte with
+an element-wise writer and parser (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -80,9 +87,17 @@ def canonical_dumps(obj) -> str:
     return _emit(obj) + "\n"
 
 
-def matrix_to_lists(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+@functools.lru_cache(maxsize=32)
+def _matrix_template(rows: int, cols: int) -> str:
+    row = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
+    return "[" + ",".join([row] * rows) + "]"
+
+
+def _matrix_text(M: np.ndarray) -> str:
+    """Canonical text of a finite complex matrix (as ``as_matrix`` returns it)."""
+    M = np.ascontiguousarray(M)
+    # + 0.0 writes -0.0 as 0, as _fmt_float does
+    return _matrix_template(*M.shape) % tuple((M.view(float).ravel() + 0.0).tolist())
 
 
 def _is_int(x) -> bool:
@@ -90,52 +105,76 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_finite_number(x) -> bool:
-    """A JSON number (not a boolean) that converts to a finite float."""
-    if not (_is_int(x) or isinstance(x, float)):
-        return False
+def _float_or_inf(x) -> float:
     try:
-        return math.isfinite(x)
+        return float(x)
     except OverflowError:  # an integer too large for a float
-        return False
+        return math.inf
 
 
 def _reject_constant(name: str):
     raise ParseError(f"invalid JSON: non-finite number {name} is not allowed")
 
 
+# exact types: JSON true/false parse as bool, a subclass of int
+_NUMBER_TYPES = {float, int}
+
+
 def _lists_to_matrix(data, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ParseError(f"{where}: expected a non-empty list of rows")
-    ncol = None
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or (ncol is not None and len(row) != ncol):
-            raise ParseError(f"{where}[{i}]: ragged or non-list row")
-        ncol = len(row)
-        out = []
-        for j, z in enumerate(row):
-            if (not isinstance(z, list) or len(z) != 2
-                    or not all(_is_finite_number(c) for c in z)):
-                raise ParseError(f"{where}[{i}][{j}]: expected an [re, im] pair "
-                                 "of finite numbers")
-            out.append(complex(z[0], z[1]))
-        rows.append(out)
-    return np.array(rows, dtype=complex)
+    ncol = len(data[0]) if type(data[0]) is list else -1
+    nrow = next((i for i, row in enumerate(data)
+                 if type(row) is not list or len(row) != ncol), len(data))
+    pairs = list(itertools.chain.from_iterable(data[:nrow]))
+    # each pass below lowers ``bad``, the flat index of the first entry that is
+    # not an [re, im] pair of finite numbers, and reads only the pairs before it
+    bad = len(pairs)
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        bad = next(k for k, z in enumerate(pairs) if type(z) is not list or len(z) != 2)
+    flat = list(itertools.chain.from_iterable(pairs[:bad]))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        bad = next(k for k, x in enumerate(flat) if type(x) not in _NUMBER_TYPES) // 2
+        flat = flat[:2 * bad]
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:
+        values = np.array([_float_or_inf(x) for x in flat], dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite)) // 2
+    if bad < len(pairs):
+        i, j = divmod(bad, ncol)
+        raise ParseError(f"{where}[{i}][{j}]: expected an [re, im] pair "
+                         "of finite numbers")
+    if nrow < len(data):
+        raise ParseError(f"{where}[{nrow}]: ragged or non-list row")
+    return values.view(complex).reshape(nrow, ncol)
 
 
 def dump_file(kind: str, dims, matrices) -> str:
-    """Serialize one object to canonical JSON text."""
+    """Serialize one object to canonical JSON text.
+
+    Raises ``ParseError`` for anything ``parse_text`` would reject: an
+    unknown kind, dims that are not two positive integers, an empty Kraus
+    list, or a matrix whose shape does not match ``dims``.
+    """
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 2 or min(dims) < 1:
+        raise ParseError("dims: expected two positive integers")
     mats = [as_matrix(M) for M in matrices]
-    data = matrix_to_lists(mats[0]) if kind != "kraus" else [matrix_to_lists(M) for M in mats]
-    return canonical_dumps({
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "dims": [int(d) for d in dims],
-        "data": data,
-    })
+    if not mats:
+        raise ParseError("data: expected a non-empty list of matrices")
+    _check_shapes(kind, dims, mats)
+    if kind == "kraus":
+        data = "[" + ",".join(_matrix_text(M) for M in mats) + "]"
+    else:
+        data = _matrix_text(mats[0])
+    # the keys in sorted order, as canonical_dumps writes them
+    return ('{"data":%s,"dims":[%d,%d],"format_version":"%s","kind":"%s"}\n'
+            % (data, dims[0], dims[1], FORMAT_VERSION, kind))
 
 
 def dump_channel(channel: Channel, kind: str = "kraus") -> str:

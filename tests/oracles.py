@@ -5,12 +5,14 @@ direct sum over basis elements, an explicit identity, or the reference
 loop or closed form that a merged library helper must agree with.
 """
 
+import json
+import math
 from typing import Sequence
 
 import numpy as np
 
 from choiscope.channels import Channel, apply, tensor_channels
-from choiscope.errors import ShapeMismatch
+from choiscope.errors import ParseError, ShapeMismatch
 from choiscope.numerics import as_matrix
 from choiscope.reshape import (BipartiteShape, middle_swap, realign,
                                swap_operator, tensor, tensor_vectors,
@@ -219,3 +221,88 @@ def symmetric_extension_dense(Pi, shape: BipartiteShape) -> np.ndarray:
         S = np.einsum("mjk,un->umjnk", sym, np.eye(dB))
     S = S.reshape(shape.dim * d, -1)
     return S.T @ np.kron(Pi, np.eye(d)) @ S
+
+
+# -- canonical file format, one float at a time ------------------------------
+# The element-wise writer and parser that ``choiscope.serialization``
+# replaced with whole-matrix passes; its files must match these byte for
+# byte, and its parse results and error messages must match ``_lists_to_matrix``.
+
+def _fmt_float(x: float) -> str:
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ParseError("non-finite value cannot be serialized")
+    # the parser reads "-0" as the integer 0, so -0.0 is written as 0 to keep
+    # serialize(parse(x)) byte-identical
+    return "%.17g" % (float(x) + 0.0)
+
+
+def _emit(obj) -> str:
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ",".join(json.dumps(k) + ":" + _emit(v) for k, v in items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_emit(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise ParseError(f"cannot serialize {type(obj).__name__}")
+
+
+def matrix_to_lists(M) -> list:
+    M = np.asarray(M, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+def dump_file_elementwise(kind: str, dims, matrices) -> str:
+    """Canonical file text built by ``_emit`` over nested lists."""
+    mats = [as_matrix(M) for M in matrices]
+    data = matrix_to_lists(mats[0]) if kind != "kraus" else [matrix_to_lists(M) for M in mats]
+    return _emit({
+        "format_version": "1",
+        "kind": kind,
+        "dims": [int(d) for d in dims],
+        "data": data,
+    }) + "\n"
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` parse as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    """A JSON number (not a boolean) that converts to a finite float."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def lists_to_matrix_elementwise(data, where: str) -> np.ndarray:
+    """Parse one matrix's nested [re, im] lists entry by entry."""
+    if not isinstance(data, list) or not data:
+        raise ParseError(f"{where}: expected a non-empty list of rows")
+    ncol = None
+    rows = []
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or (ncol is not None and len(row) != ncol):
+            raise ParseError(f"{where}[{i}]: ragged or non-list row")
+        ncol = len(row)
+        out = []
+        for j, z in enumerate(row):
+            if (not isinstance(z, list) or len(z) != 2
+                    or not all(_is_finite_number(c) for c in z)):
+                raise ParseError(f"{where}[{i}][{j}]: expected an [re, im] pair "
+                                 "of finite numbers")
+            out.append(complex(z[0], z[1]))
+        rows.append(out)
+    return np.array(rows, dtype=complex)
