@@ -33,10 +33,10 @@ from .channels import Channel
 from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NonFinite, NotAState, NotCompletelyPositive,
                      ShapeMismatch, ZeroMatrix)
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, check_hermitian
-from .reshape import (BipartiteShape, _middle_swap_index, devectorize,
-                      product_factorize, realign, tensor, tensor_vectors,
-                      vectorize)
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, check_hermitian,
+                       hermitian_gap)
+from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
+                      tensor, tensor_vectors)
 
 # Feasibility tolerances of the BSA optimizer; looser than the library
 # default because weights are accumulated over many subtractions.
@@ -783,10 +783,10 @@ def _regroup(D: np.ndarray, d: int) -> np.ndarray:
 
     The Choi matrix of a map on a d (x) d bipartite system indexes its
     rows by (output, input) pairs; regrouping by subsystem instead is the
-    middle-factor swap, applied here as an index permutation.
+    middle-factor swap, applied here as one reshape-transpose.
     """
-    p = _middle_swap_index(d)
-    return D[np.ix_(p, p)]
+    n = d ** 4
+    return D.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(n, n)
 
 
 def bipartite_choi(operators: Sequence[np.ndarray], d: int,
@@ -803,9 +803,11 @@ def bipartite_choi(operators: Sequence[np.ndarray], d: int,
     for M in ops:
         if M.shape != (n, n):
             raise DimensionMismatch(f"Kraus operator is {M.shape}, expected {(n, n)}")
-    p = _middle_swap_index(d)
-    # rows of W are the w_k, so sum_k w_k w_k^dag = W^t W^*
-    W = np.array([vectorize(M)[p] for M in ops], dtype=complex).reshape(len(ops), n * n)
+    # w_k is vectorize(M_k) with its middle factors swapped: entry
+    # (c1, r1, c0, r0) is M_k[(r1, r0), (c1, c0)].  Rows of W are the w_k,
+    # so sum_k w_k w_k^dag = W^t W^*
+    stacked = np.array(ops, dtype=complex).reshape(len(ops), d, d, d, d)
+    W = stacked.transpose(0, 3, 1, 4, 2).reshape(len(ops), n * n)
     E = W.T @ W.conj()
     return E / (d * d) if normalized else E
 
@@ -837,7 +839,7 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
             f"expected a channel on a {d}x{d} bipartite system, got "
             f"{channel.d_in} -> {channel.d_out}")
     D = channel.choi
-    if np.max(np.abs(D - D.conj().T)) > max(1e-8, tol.atol):
+    if hermitian_gap(D) > max(1e-8, tol.atol):
         raise NotCompletelyPositive("bsa_operation requires a CP map")
     E = _regroup(D, d)
     trace = float(np.trace(E).real)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotCompletelyPositive, ShapeMismatch
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eig_hermitian,
-                       hs_inner)
-from .reshape import (BipartiteShape, _middle_swap_index, devectorize,
-                      partial_trace_A, partial_trace_B, realign, swap_operator,
+                       hermitian_gap, hs_inner)
+from .reshape import (BipartiteShape, _blocks, devectorize,
+                      partial_trace_B, realign, swap_operator,
                       tensor, vectorize)
 
 
@@ -87,11 +87,13 @@ class Channel:
     """A linear map on states, canonically stored as its Liouville matrix.
 
     The Choi matrix is computed eagerly so instances are immutable and
-    freely shareable.  ``kraus`` is kept when the channel was built from
-    (or converted to) an operator-sum form, and when set it is an
-    operator-sum form of ``liouville`` and ``choi``: ``D = sum_j
-    vec(G_j) vec(G_j)^dag``.  ``apply``, ``kraus_operators`` and
-    ``validate`` rely on this without checking it.
+    freely shareable; ``choi`` is the realignment of ``liouville`` (the
+    index permutation of ``liouville_to_choi``), and ``tensor_channels``
+    and ``validate`` rely on this without checking it.  ``kraus`` is kept
+    when the channel was built from (or converted to) an operator-sum
+    form, and when set it is an operator-sum form of ``liouville`` and
+    ``choi``: ``D = sum_j vec(G_j) vec(G_j)^dag``.  ``apply``,
+    ``kraus_operators`` and ``validate`` rely on this without checking it.
     """
 
     liouville: np.ndarray
@@ -193,19 +195,27 @@ def validate(channel: Channel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport
     so its least eigenvalue is exactly 0 and no decomposition is made.
     Every other channel (no Kraus operators, or r >= n) takes the spectrum
     of the Hermitian part of ``D``.  The hermiticity and trace checks read
-    the stored matrices on both paths.
+    ``D`` alone on both paths: ``D`` is the realignment of ``L``, so
+    ``conj(tr_A D)`` is the dual map's image of the identity,
+    ``L^dag vec(I)`` devectorized (``sum_j G_j^dag G_j``), and the
+    Liouville matrix is never read.  A ``D`` with a NaN or infinite entry
+    has a non-finite hermiticity gap; it is reported not hermiticity
+    preserving, not trace-nonincreasing and not CP, with a NaN least
+    eigenvalue, and no spectrum is taken.
     """
     D = channel.choi
-    L = channel.liouville
-    hermiticity = bool(np.max(np.abs(D - D.conj().T)) <= tol.atol)
-    tr_A = partial_trace_A(D, channel.choi_shape)
+    asymmetry = hermitian_gap(D)
+    finite = bool(np.isfinite(asymmetry))
+    hermiticity = bool(asymmetry <= tol.atol)
+    # partial_trace_A without its finiteness check, which would raise on a NaN
+    tr_A = np.einsum("akbk->ab", _blocks(D, channel.choi_shape))
     trace_preserving = bool(np.max(np.abs(tr_A - np.eye(channel.d_in))) <= tol.atol)
-    # sum_j G_j^dag G_j is the dual map applied to the identity
-    unital_image = devectorize(L.conj().T @ vectorize(np.eye(channel.d_out)),
-                               channel.d_in, channel.d_in)
+    unital_image = tr_A.conj()
     gap = np.eye(channel.d_in) - (unital_image + unital_image.conj().T) / 2.0
-    trace_nonincreasing = bool(np.linalg.eigvalsh(gap)[0] >= -tol.atol)
-    if channel.kraus is not None and len(channel.kraus) < D.shape[0]:
+    trace_nonincreasing = finite and bool(np.linalg.eigvalsh(gap)[0] >= -tol.atol)
+    if not finite:
+        min_eig = float("nan")
+    elif channel.kraus is not None and len(channel.kraus) < D.shape[0]:
         min_eig = 0.0
     else:
         min_eig = float(np.linalg.eigvalsh((D + D.conj().T) / 2.0)[0])
@@ -258,21 +268,43 @@ def mix(coeffs: Sequence[float], channels: Sequence[Channel]) -> Channel:
 def tensor_channels(phi: Channel, psi: Channel) -> Channel:
     """Product channel phi (x) psi on two identical N-dimensional systems.
 
-    Liouville route: ``(I(x)S(x)I)(L_phi (x) L_psi)(I(x)S(x)I)``, applied
-    as an index permutation of rows and columns.  Kraus operators, when
-    both factors carry them, are the pairwise type-I tensors.
+    ``L = (I(x)S(x)I)(L_phi (x) L_psi)(I(x)S(x)I)``, written by one
+    broadcast product of the factors' entries straight into the
+    middle-swapped layout (:func:`_middle_swapped_product`).  The
+    realignment commutes with that product, so ``D`` is the same
+    broadcast of the factors' Choi matrices; this relies on each
+    factor's ``choi`` being the realignment of its ``liouville``, the
+    ``Channel`` invariant.  Kraus operators, when both factors carry
+    them, are the pairwise type-I tensors, built in one broadcast over
+    the stacked operators.
     """
     N = phi.d_in
     if not (phi.d_in == phi.d_out == psi.d_in == psi.d_out):
         raise DimensionMismatch("tensor_channels requires square channels")
     if psi.d_in != N:
         raise DimensionMismatch("tensor_channels requires equal subsystem dimensions")
-    p = _middle_swap_index(N)
-    L = tensor(phi.liouville, psi.liouville)[np.ix_(p, p)]
+    L = _middle_swapped_product(psi.liouville, phi.liouville, N)
+    D = _middle_swapped_product(psi.choi, phi.choi, N)
     kraus = None
     if phi.kraus is not None and psi.kraus is not None:
-        kraus = tuple(tensor(G, H) for G in phi.kraus for H in psi.kraus)
-    return Channel(L, N * N, N * N, liouville_to_choi(L, N * N, N * N), kraus=kraus)
+        G = np.array(phi.kraus, dtype=complex)
+        H = np.array(psi.kraus, dtype=complex)
+        # tensor(G_i, H_j)[(h, g), (h', g')] = H_j[h, h'] * G_i[g, g']
+        pairs = H[None, :, :, None, :, None] * G[:, None, None, :, None, :]
+        kraus = tuple(pairs.reshape(-1, N * N, N * N))
+    return Channel(L, N * N, N * N, D, kraus=kraus)
+
+
+def _middle_swapped_product(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
+    """``P kron(X, Y) P`` with ``P = middle_swap(N)``, for N^2-square X, Y.
+
+    Entry ``[(a1,b1,a0,b0), (c1,d1,c0,d0)]`` is
+    ``X[(a1,a0), (c1,c0)] * Y[(b1,b0), (d1,d0)]``, the same single
+    product as in the kron, written once into the output.
+    """
+    out = np.multiply(X.reshape(N, 1, N, 1, N, 1, N, 1),
+                      Y.reshape(1, N, 1, N, 1, N, 1, N), dtype=complex)
+    return out.reshape(N ** 4, N ** 4)
 
 
 def transpose_conjugations(channel: Channel, mode: str) -> Channel:

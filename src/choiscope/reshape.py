@@ -212,11 +212,3 @@ def middle_swap(N: int) -> np.ndarray:
     """
     return np.kron(np.eye(N), np.kron(swap_operator(N), np.eye(N)))
 
-
-def _middle_swap_index(N: int) -> np.ndarray:
-    """Index vector p of :func:`middle_swap`: ``middle_swap(N) @ x == x[p]``.
-
-    The permutation is a symmetric involution, so
-    ``middle_swap(N) @ X @ middle_swap(N) == X[np.ix_(p, p)]``.
-    """
-    return np.arange(N ** 4).reshape(N, N, N, N).transpose(0, 2, 1, 3).reshape(-1)

@@ -11,12 +11,13 @@ from typing import Sequence
 
 import numpy as np
 
-from choiscope.channels import Channel, apply, tensor_channels
+from choiscope.channels import (Channel, ValidationReport, apply,
+                                tensor_channels)
 from choiscope.errors import ParseError, ShapeMismatch
-from choiscope.numerics import as_matrix
-from choiscope.reshape import (BipartiteShape, middle_swap, realign,
-                               swap_operator, tensor, tensor_vectors,
-                               vectorize)
+from choiscope.numerics import DEFAULT_TOL, Tolerance, as_matrix
+from choiscope.reshape import (BipartiteShape, devectorize, middle_swap,
+                               partial_trace_A, realign, swap_operator, tensor,
+                               tensor_vectors, vectorize)
 from choiscope.superop_space import OperatorBasis
 
 
@@ -93,6 +94,38 @@ def choi_from_kraus_vectors(operators: Sequence[np.ndarray]) -> np.ndarray:
         v = np.asarray(G, dtype=complex).reshape(-1, order="F")
         D = D + np.outer(v, v.conj())
     return D
+
+
+def validate_via_liouville(channel: Channel,
+                           tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
+    """``validate`` with dense hermiticity and trace-nonincreasing checks.
+
+    The hermiticity gap is the dense ``max |D - D^dag|``, and the
+    trace-nonincreasing check reads ``sum_j G_j^dag G_j`` as the dual map
+    applied to the identity, ``L^dag vec(I)``, from the Liouville matrix.
+    """
+    D = channel.choi
+    L = channel.liouville
+    hermiticity = bool(np.max(np.abs(D - D.conj().T)) <= tol.atol)
+    tr_A = partial_trace_A(D, channel.choi_shape)
+    trace_preserving = bool(np.max(np.abs(tr_A - np.eye(channel.d_in))) <= tol.atol)
+    unital_image = devectorize(L.conj().T @ vectorize(np.eye(channel.d_out)),
+                               channel.d_in, channel.d_in)
+    gap = np.eye(channel.d_in) - (unital_image + unital_image.conj().T) / 2.0
+    trace_nonincreasing = bool(np.linalg.eigvalsh(gap)[0] >= -tol.atol)
+    if channel.kraus is not None and len(channel.kraus) < D.shape[0]:
+        min_eig = 0.0
+    else:
+        min_eig = float(np.linalg.eigvalsh((D + D.conj().T) / 2.0)[0])
+    completely_positive = hermiticity and min_eig >= -tol.atol
+    return ValidationReport(
+        hermiticity_preserving=hermiticity,
+        trace_preserving=trace_preserving,
+        trace_nonincreasing=trace_nonincreasing,
+        completely_positive=completely_positive,
+        choi_trace=float(np.trace(D).real),
+        min_choi_eigenvalue=min_eig,
+    )
 
 
 def basis_resolution_checks(basis: OperatorBasis, atol: float = 1e-9) -> bool:

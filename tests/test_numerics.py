@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from choiscope.errors import NonFinite, NotHermitian, NotPsd
-from choiscope.numerics import (DEFAULT_TOL, Tolerance, as_matrix,
-                                check_hermitian, eig_hermitian,
-                                frobenius_norm, hs_inner, is_psd,
-                                min_eigenvalue, pseudo_inverse, svd_rank)
+from choiscope.numerics import (DEFAULT_TOL, HERMITIAN_GAP_ROWS, Tolerance,
+                                as_matrix, check_hermitian, eig_hermitian,
+                                frobenius_norm, hermitian_gap, hs_inner,
+                                is_psd, min_eigenvalue, pseudo_inverse,
+                                svd_rank)
 
 from conftest import random_complex, random_psd
 
@@ -28,6 +29,33 @@ def test_check_hermitian(rng):
     assert np.allclose(check_hermitian(H), H)
     with pytest.raises(NotHermitian):
         check_hermitian(H + 1e-6 * 1j * np.eye(4))
+
+
+def _dense_gap(M):
+    return np.max(np.abs(M - M.conj().T))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 625])
+def test_hermitian_gap_is_the_dense_formula(rng, n):
+    M = random_complex(rng, n, n)
+    H = (M + M.conj().T) / 2.0
+    for A in (M, H, H + 1e-12 * M, H.real.copy()):
+        assert hermitian_gap(A) == _dense_gap(A)
+    assert hermitian_gap(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 625])
+def test_hermitian_gap_keeps_a_nan(rng, n):
+    H = random_psd(rng, n)
+    # the first and last entries, and both triangles of the last row strip
+    last = n - 1
+    spots = {(0, 0), (last, last), (0, last), (last, 0)}
+    if n > HERMITIAN_GAP_ROWS:
+        spots |= {(HERMITIAN_GAP_ROWS, 1), (1, HERMITIAN_GAP_ROWS)}
+    for i, j in spots:
+        A = H.copy()
+        A[i, j] = np.nan
+        assert np.isnan(hermitian_gap(A)) and np.isnan(_dense_gap(A))
 
 
 def test_eig_hermitian_ascending(rng):

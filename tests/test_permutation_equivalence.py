@@ -1,23 +1,23 @@
 """The channel-algebra permutations against their dense-matrix definitions.
 
 The library applies ``middle_swap`` and ``swap_operator`` as index
-permutations and builds the Q coefficients and basis Gram matrices with a
-few matrix products.  The references here are the dense permutation
-products and the per-entry loops those are defined by: pure permutations
-must agree exactly, sums to 1e-12.
+permutations (reshape-transposes and broadcast products) and builds the
+Q coefficients and basis Gram matrices with a few matrix products.  The
+references here are the dense permutation products and the per-entry
+loops those are defined by: pure permutations must agree exactly, sums
+to 1e-12.
 """
 
 import numpy as np
 import pytest
 
-from choiscope.bsa import bipartite_choi
+from choiscope.bsa import _regroup, bipartite_choi
 from choiscope.channels import (liouville_to_choi, tensor_channels,
                                 transpose_conjugations)
 from choiscope.errors import NotOrthonormal
 from choiscope.generators import random_cp_channel
 from choiscope.numerics import hs_inner
-from choiscope.reshape import (_middle_swap_index, middle_swap, swap_operator,
-                               tensor, vectorize)
+from choiscope.reshape import middle_swap, swap_operator, tensor, vectorize
 from choiscope.superop_space import (OperatorBasis, coefficients,
                                      elementary_basis, rotated_basis,
                                      theta_liouville)
@@ -63,14 +63,12 @@ def test_swap_operator_matches_double_loop(N):
     assert np.array_equal(S, _dense_swap_operator(N))
 
 
-@pytest.mark.parametrize("N", SIZES)
-def test_middle_swap_index_is_the_dense_permutation(N):
-    rng = np.random.default_rng(N)
-    P = middle_swap(N)
-    p = _middle_swap_index(N)
-    X = rng.normal(size=(N ** 4, N ** 4)) + 1j * rng.normal(size=(N ** 4, N ** 4))
-    assert np.array_equal(P @ X[:, 0], X[p, 0])
-    assert np.array_equal(P @ X @ P, X[np.ix_(p, p)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_regroup_is_the_dense_middle_swap(d):
+    rng = np.random.default_rng(d)
+    D = rng.normal(size=(d ** 4, d ** 4)) + 1j * rng.normal(size=(d ** 4, d ** 4))
+    P = middle_swap(d)
+    assert np.array_equal(_regroup(D, d), P @ D @ P)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

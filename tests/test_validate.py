@@ -4,18 +4,21 @@ A channel carrying r < n = d_out * d_in Kraus operators is validated
 without a decomposition (its Choi matrix is K K^dag, PSD and singular);
 every other channel takes the dense spectrum.  Forcing the dense path by
 rebuilding the channel from its Liouville matrix must give the same
-report.
+report.  ``validate`` reads only the Choi matrix; the oracle that reads
+the dual map's image of the identity from the Liouville matrix must
+give the same report, field for field.
 """
 
 import numpy as np
 import pytest
 
-from choiscope.channels import (Channel, dual, identity_channel,
-                                tensor_channels, validate)
+from choiscope.channels import (Channel, compose, dual, identity_channel, mix,
+                                tensor_channels, transpose_conjugations,
+                                validate)
 from choiscope.generators import random_cp_channel, swap_channel
 from choiscope.serialization import dump_channel, parse_text
 
-from oracles import choi_from_kraus_vectors
+from oracles import choi_from_kraus_vectors, validate_via_liouville
 
 DECOMPOSITIONS = ("eig", "eigh", "eigvals", "eigvalsh", "svd")
 
@@ -65,6 +68,54 @@ def test_kraus_and_dense_paths_agree(N):
         _assert_reports_agree(dual(ch))
         assert validate(ch).is_channel
         _assert_reports_agree(tensor_channels(ch, dual(ch)))
+
+
+def _oracle_cases():
+    cases = {}
+    for N in (2, 3, 4, 5):
+        a = random_cp_channel(N, N, 40 + N)
+        b = random_cp_channel(N, N, 50 + N, kraus_count=N * N)
+        cases[f"random_cp_channel N={N}"] = a
+        cases[f"dual N={N}"] = dual(a)
+        cases[f"full-rank dual N={N}"] = dual(b)
+        cases[f"compose N={N}"] = compose(a, b)
+        cases[f"mix N={N}"] = mix([0.25, 0.75], [a, b])
+        for mode in ("left", "right", "both"):
+            cases[f"transpose_conjugations {mode} N={N}"] = transpose_conjugations(a, mode)
+        cases[f"scaled N={N}"] = Channel.from_liouville(1.5 * a.liouville, N, N)
+        rng = np.random.default_rng(N)
+        M = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
+        cases[f"random complex N={N}"] = Channel.from_liouville(M, N, N)
+        if N <= 4:
+            cases[f"tensor_channels N={N}"] = tensor_channels(a, dual(a))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_cases()))
+def test_validate_matches_the_liouville_oracle(name):
+    ch = _oracle_cases()[name]
+    report = validate(ch)
+    assert report == validate_via_liouville(ch)
+    if name.startswith("random complex"):
+        assert not report.hermiticity_preserving
+    if name.startswith("scaled"):
+        assert report.hermiticity_preserving and not report.trace_nonincreasing
+
+
+@pytest.mark.parametrize("kraus", [True, False])
+def test_validate_reports_a_nan_choi_entry(kraus):
+    ch = random_cp_channel(5, 5, 3)
+    n = ch.choi.shape[0]
+    # the first and the last row strip, off and on the traced diagonal
+    for i, j in ((0, 1), (n - 1, n - 2), (0, 0), (n - 1, 0)):
+        D = ch.choi.copy()
+        D[i, j] = np.nan
+        broken = Channel(ch.liouville, 5, 5, D, kraus=ch.kraus if kraus else None)
+        report = validate(broken)
+        assert not report.hermiticity_preserving
+        assert not report.completely_positive
+        assert not report.trace_nonincreasing
+        assert np.isnan(report.min_choi_eigenvalue)
 
 
 class _Recorder:
