@@ -65,10 +65,9 @@ class ProductVector:
     f: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.e, dtype=complex).reshape(-1)
-        f = np.asarray(self.f, dtype=complex).reshape(-1)
-        object.__setattr__(self, "e", e / np.linalg.norm(e))
-        object.__setattr__(self, "f", f / np.linalg.norm(f))
+        for name in ("e", "f"):
+            v = np.asarray(getattr(self, name), dtype=complex).reshape(-1)
+            object.__setattr__(self, name, _unit_vector(v, v.size))
 
     @property
     def vector(self) -> np.ndarray:
@@ -592,11 +591,13 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     """
     rho, eig = _check_state(rho, tol)
     V = list(V)
+    if any(pv.e.size * pv.f.size != rho.shape[0] for pv in V):
+        raise ShapeMismatch(f"candidates must have the state's dimension {rho.shape[0]}")
     _, cols = _range(rho, tol.atol, eig)
     Pi = cols @ cols.conj().T
     for pv in V:
         v = pv.vector
-        if float(np.vdot(v, Pi @ v).real) < 1.0 - 1e-6:
+        if float(np.vdot(v, Pi @ v).real) < PRODUCT_OVERLAP:
             raise CandidateOutsideRange("candidate outside range of rho")
     if not V:
         return _assemble(rho, [], [], rho.astype(complex), 0)

@@ -3,10 +3,11 @@
 A channel ``rho -> sum_j G_j rho G_j^dag`` from a ``d_in``- to a
 ``d_out``-dimensional system is carried by its Liouville matrix ``L``
 (``vec(sigma) = L vec(rho)``, shape ``d_out^2 x d_in^2``) as the
-canonical representation.  The dynamical matrix is the realignment
-``D = R(L)``, a ``(d_out * d_in)``-square bipartite operator with the
-output system as party A and the input system as party B.  ``D`` is kept
-unnormalized: ``Tr D = d_in`` for trace-preserving maps.
+canonical representation.  The dynamical matrix ``D =
+realign_inverse(L)`` (so ``L = realign(D)``) is a ``(d_out * d_in)``-square
+bipartite operator with the output system as party A and the input
+system as party B.  ``D`` is kept unnormalized: ``Tr D = d_in`` for
+trace-preserving maps.
 """
 
 from __future__ import annotations
@@ -19,19 +20,9 @@ import numpy as np
 from .errors import DimensionMismatch, NotCompletelyPositive, ShapeMismatch
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eig_hermitian,
                        hermitian_gap, hs_inner)
-from .reshape import (BipartiteShape, _blocks, devectorize,
-                      partial_trace_B, realign, swap_operator,
-                      tensor, vectorize)
-
-
-def _liouville_choi_permute(M: np.ndarray, d_in: int, d_out: int,
-                            to_choi: bool) -> np.ndarray:
-    """The L <-> D index permutation D[u*dout+m, v*dout+n] = L[n*dout+m, v*din+u]."""
-    if to_choi:
-        four = M.reshape(d_out, d_out, d_in, d_in)  # (n, m, v, u)
-        return four.transpose(3, 1, 2, 0).reshape(d_out * d_in, d_out * d_in)
-    four = M.reshape(d_in, d_out, d_in, d_out)  # (u, m, v, n)
-    return four.transpose(3, 1, 2, 0).reshape(d_out ** 2, d_in ** 2)
+from .reshape import (BipartiteShape, _blocks, devectorize, flip, flip_col,
+                      flip_row, partial_trace_B, realign, realign_inverse,
+                      swap_operator, tensor, vectorize)
 
 
 def kraus_to_liouville(operators: Sequence[np.ndarray]) -> np.ndarray:
@@ -49,18 +40,13 @@ def kraus_to_liouville(operators: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def liouville_to_choi(L: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    L = as_matrix(L)
-    if L.shape != (d_out ** 2, d_in ** 2):
-        raise ShapeMismatch(f"Liouville matrix is {L.shape}, expected {(d_out ** 2, d_in ** 2)}")
-    return _liouville_choi_permute(L, d_in, d_out, to_choi=True)
+    """D = :func:`~choiscope.reshape.realign_inverse` of L, output as party A."""
+    return realign_inverse(L, BipartiteShape(d_out, d_in))
 
 
 def choi_to_liouville(D: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    D = as_matrix(D)
-    n = d_out * d_in
-    if D.shape != (n, n):
-        raise ShapeMismatch(f"Choi matrix is {D.shape}, expected {(n, n)}")
-    return _liouville_choi_permute(D, d_in, d_out, to_choi=False)
+    """L = :func:`~choiscope.reshape.realign` of D, output as party A."""
+    return realign(D, BipartiteShape(d_out, d_in))
 
 
 def choi_to_kraus(D: np.ndarray, d_in: int, d_out: int,
@@ -310,22 +296,16 @@ def _middle_swapped_product(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
 def transpose_conjugations(channel: Channel, mode: str) -> Channel:
     """Conjugate the channel by the transpose map.
 
-    ``left``: T o phi (L -> S L); ``right``: phi o T (L -> L S);
-    ``both``: T o phi o T (L -> S L S = L^*).
+    ``left``: T o phi (L -> S L, :func:`~choiscope.reshape.flip_row`);
+    ``right``: phi o T (L -> L S, :func:`~choiscope.reshape.flip_col`);
+    ``both``: T o phi o T (L -> S L S = L^*, :func:`~choiscope.reshape.flip`).
     """
     if channel.d_in != channel.d_out:
         raise ShapeMismatch("transpose conjugation requires a square channel")
-    N = channel.d_in
-    s = np.arange(N * N).reshape(N, N).T.reshape(-1)  # swap_operator(N) @ x == x[s]
-    L = channel.liouville
-    if mode == "left":
-        L = L[s]
-    elif mode == "right":
-        L = L[:, s]
-    elif mode == "both":
-        L = L[np.ix_(s, s)]
-    else:
+    flips = {"left": flip_row, "right": flip_col, "both": flip}
+    if mode not in flips:
         raise ValueError(f"mode must be 'left', 'right' or 'both', got {mode!r}")
+    L = flips[mode](channel.liouville, BipartiteShape(channel.d_in, channel.d_in))
     return Channel.from_liouville(L, channel.d_in, channel.d_out)
 
 

@@ -49,9 +49,11 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(atol=tol, rtol=tol)
 
 
-def _digest(path) -> str:
+def _load_with_digest(path):
+    """The parsed file and the SHA-256 of the bytes it was parsed from."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    return ser.parse_bytes(data), hashlib.sha256(data).hexdigest()
 
 
 def _write(args, text: str) -> None:
@@ -68,11 +70,11 @@ def _complex_pairs(v) -> list:
 
 def cmd_inspect(args) -> int:
     tol = _tolerance(args)
-    cf = ser.load_path(args.path)
+    cf, digest = _load_with_digest(args.path)
     report = {
         "schema": REPORT_SCHEMA,
         "command": "inspect",
-        "input_digest": _digest(args.path),
+        "input_digest": digest,
         "kind": cf.kind,
         "dims": list(cf.dims),
     }
@@ -157,7 +159,7 @@ def cmd_bsa(args) -> int:
     if args.budget < 0:
         raise ParseError(f"--budget must be non-negative, got {args.budget}")
     tol = _tolerance(args)
-    cf = ser.load_path(args.path)
+    cf, digest = _load_with_digest(args.path)
     start = time.monotonic()
     body = (_bsa_operation_report(args, cf, tol) if args.operation
             else _bsa_state_report(args, cf, tol))
@@ -165,7 +167,7 @@ def cmd_bsa(args) -> int:
     report = {
         "schema": REPORT_SCHEMA,
         "command": "bsa",
-        "input_digest": _digest(args.path),
+        "input_digest": digest,
         "seed": args.seed,
         "budget": args.budget,
     }

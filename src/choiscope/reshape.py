@@ -39,7 +39,7 @@ class BipartiteShape:
 
     def __post_init__(self):
         if self.d_A < 1 or self.d_B < 1:
-            raise ValueError("subsystem dimensions must be >= 1")
+            raise ShapeMismatch(f"subsystem dimensions must be >= 1, got {self.d_A}, {self.d_B}")
 
     @property
     def dim(self) -> int:

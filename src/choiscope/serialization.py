@@ -236,6 +236,15 @@ def _check_shapes(kind, dims, mats):
                              f"dims {dims} for kind {kind!r} (expected {expect})")
 
 
+def parse_bytes(data: bytes) -> ChannelFile:
+    """Parse a file's bytes, which must be UTF-8 text."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start}: {exc.reason}") from None
+    return parse_text(text)
+
+
 def load_path(path) -> ChannelFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    with open(path, "rb") as fh:
+        return parse_bytes(fh.read())

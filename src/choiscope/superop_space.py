@@ -6,6 +6,10 @@ induced superoperator bases (dyadic ``Delta`` and sandwich ``Theta``),
 the coefficient matrices P and Q of a map in those bases, the kernel
 that converts between them, and the tensor-space embedding
 ``Lam_Phi = sum_a Phi(E_a) (x) F_a``.
+
+Each function is a closed form in ``vE`` and ``vF``, the unitaries whose
+columns are ``vectorize(E_a)`` and ``vectorize(F_b)``, and at most one
+:mod:`~choiscope.reshape` realignment on ``BipartiteShape(N, N)``.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply
+from .channels import Channel
 from .errors import NotOrthonormal, ShapeMismatch
 from .numerics import as_matrix, hs_inner
-from .reshape import devectorize, tensor, vectorize
+from .reshape import (BipartiteShape, devectorize, realign, realign_inverse,
+                      tensor, vectorize)
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,17 @@ def rotated_basis(N: int, seed: int) -> OperatorBasis:
     return OperatorBasis(tuple(devectorize(Q[:, a], N, N) for a in range(N * N)))
 
 
+def _columns(B: OperatorBasis, N: int) -> np.ndarray:
+    """The unitary whose column a is ``vectorize(B[a])``, for a basis of dim N."""
+    if B.dim != N:
+        raise ShapeMismatch(f"basis of dim {B.dim}, expected {N}")
+    return np.stack(B.elements).transpose(0, 2, 1).reshape(N * N, N * N).T
+
+
 def superop_inner(phi: Channel, psi: Channel, basis: OperatorBasis) -> complex:
-    """sum_a tr Phi(E_a)^dag Psi(E_a); basis-independent."""
-    total = 0.0 + 0.0j
-    for E in basis:
-        total += hs_inner(apply(phi, E, route="liouville"),
-                          apply(psi, E, route="liouville"))
-    return complex(total)
+    """sum_a tr Phi(E_a)^dag Psi(E_a) = <L_phi vE, L_psi vE>; basis-independent."""
+    return hs_inner(phi.liouville @ _columns(basis, phi.d_in),
+                    psi.liouville @ _columns(basis, psi.d_in))
 
 
 def delta_liouville(E_a, F_b) -> np.ndarray:
@@ -99,65 +108,57 @@ class SuperopCoeffs:
     F: OperatorBasis
 
     def reconstruct_from_P(self) -> np.ndarray:
-        n = len(self.E)
-        L = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                L += self.P[a, b] * delta_liouville(self.E[a], self.F[b])
-        return L
+        """sum_ab p_ab Delta_ab = vE P vF^dag."""
+        N = self.E.dim
+        return _columns(self.E, N) @ self.P @ _columns(self.F, N).conj().T
 
     def reconstruct_from_Q(self) -> np.ndarray:
-        n = len(self.E)
-        L = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                L += self.Q[a, b] * theta_liouville(self.E[a], self.F[b])
-        return L
+        """sum_ab q_ab Theta_ab = R(vE Q vF^dag), the realigned dynamical matrix."""
+        N = self.E.dim
+        D = _columns(self.E, N) @ self.Q @ _columns(self.F, N).conj().T
+        return realign(D, BipartiteShape(N, N))
 
 
 def coefficients(phi: Channel, E: OperatorBasis, F: OperatorBasis) -> SuperopCoeffs:
-    """P and Q for a map: p_ab = <<E_a|L|F_b>>, q_ab = <E_a (x) F_b^*, L>."""
+    """P and Q for a map: ``P = vE^dag L vF``, ``Q = vE^dag D vF``.
+
+    ``D`` is ``phi.choi``, the ``realign_inverse`` of ``L``.  Entrywise
+    ``p_ab = <<E_a|L|F_b>>`` and ``q_ab = <E_a (x) F_b^*, L>``.
+    """
     N = phi.d_in
-    if phi.d_out != N or E.dim != N or F.dim != N:
-        raise ShapeMismatch(
-            f"coefficients need a square channel and bases of its dimension; "
-            f"got {phi.d_in} -> {phi.d_out} with bases of dim {E.dim}, {F.dim}")
-    L = phi.liouville
-    n = len(E)
-    vE = np.column_stack([vectorize(M) for M in E])
-    vF = np.column_stack([vectorize(M) for M in F])
-    P = vE.conj().T @ L @ vF
-    # q_ab = sum conj(E_a[i, j]) F_b[k, l] L[k*N + i, l*N + j]: regroup L by
-    # (i, j) rows and (k, l) columns and contract with the row-major
-    # flattened basis elements
-    M = L.reshape(N, N, N, N).transpose(1, 3, 0, 2).reshape(n, n)
-    Q = np.stack(E.elements).reshape(n, n).conj() @ M @ np.stack(F.elements).reshape(n, n).T
-    return SuperopCoeffs(P=P, Q=Q, E=E, F=F)
+    if phi.d_out != N:
+        raise ShapeMismatch(f"coefficients need a square channel, got {N} -> {phi.d_out}")
+    vE_dag = _columns(E, N).conj().T
+    vF = _columns(F, N)
+    return SuperopCoeffs(P=vE_dag @ phi.liouville @ vF,
+                         Q=vE_dag @ phi.choi @ vF, E=E, F=F)
 
 
 def convert_coeffs(C: np.ndarray, E: OperatorBasis, F: OperatorBasis) -> np.ndarray:
     """Apply the change-of-basis kernel tr(E_a^dag E_m F_b F_n^dag).
 
-    The same kernel maps Q to P and P to Q; it is contracted on the fly
-    rather than materialized for larger systems.
+    The kernel is ``C -> vE^dag R(vE C vF^dag) vF``: rebuild the matrix C
+    expands, realign it, and expand again.  The same kernel maps Q to P
+    and P to Q, as R is an involution.
     """
     C = as_matrix(C)
     n = len(E)
     if C.shape != (n, n):
         raise ShapeMismatch(f"coefficient matrix is {C.shape}, expected {(n, n)}")
-    Earr = np.stack(list(E.elements))
-    Farr = np.stack(list(F.elements))
-    # G[a, m, i, j] = (E_a^dag E_m)_{ij}; H[b, n, j, i] = (F_b F_n^dag)_{ji}
-    G = np.einsum("aki,mkj->amij", Earr.conj(), Earr)
-    H = np.einsum("bjk,nik->bnji", Farr, Farr.conj())
-    return np.einsum("amij,bnji,mn->ab", G, H, C)
+    N = E.dim
+    vE = _columns(E, N)
+    vF = _columns(F, N)
+    R = realign(vE @ C @ vF.conj().T, BipartiteShape(N, N))
+    return vE.conj().T @ R @ vF
 
 
 def lambda_iso(phi: Channel, E: OperatorBasis, F: OperatorBasis) -> np.ndarray:
-    """The tensor-space image sum_a Phi(E_a) (x) F_a; an isometry."""
-    N = E.dim
-    out = np.zeros((N * N, N * N), dtype=complex)
-    for E_a, F_a in zip(E, F):
-        out += tensor(apply(phi, E_a, route="liouville"), F_a)
-    return out
+    """The tensor-space image sum_a Phi(E_a) (x) F_a; an isometry.
 
+    ``vec(Phi(E_a)) = L vec(E_a)``, and the realignment takes each
+    ``X (x) Y`` to ``vec(X) vec(Y)^T``, so the image is
+    ``realign_inverse(L vE vF^T)`` with ``Phi``'s output as party A.
+    """
+    N = phi.d_in
+    M = phi.liouville @ _columns(E, N) @ _columns(F, N).T
+    return realign_inverse(M, BipartiteShape(phi.d_out, N))

@@ -14,11 +14,12 @@ import numpy as np
 from choiscope.channels import (Channel, ValidationReport, apply,
                                 tensor_channels)
 from choiscope.errors import ParseError, ShapeMismatch
-from choiscope.numerics import DEFAULT_TOL, Tolerance, as_matrix
+from choiscope.numerics import DEFAULT_TOL, Tolerance, as_matrix, hs_inner
 from choiscope.reshape import (BipartiteShape, devectorize, middle_swap,
                                partial_trace_A, realign, swap_operator, tensor,
                                tensor_vectors, vectorize)
-from choiscope.superop_space import OperatorBasis
+from choiscope.superop_space import (OperatorBasis, delta_liouville,
+                                     theta_liouville)
 
 
 def realign_sandwich(Z, shape: BipartiteShape) -> np.ndarray:
@@ -141,6 +142,84 @@ def basis_resolution_checks(basis: OperatorBasis, atol: float = 1e-9) -> bool:
     S = swap_operator(N)
     return (float(np.max(np.abs(acc_star - dyad))) <= atol
             and float(np.max(np.abs(acc_dag - S))) <= atol)
+
+
+# -- superoperator space, basis element by basis element ---------------------
+# The sums over basis elements and basis pairs that ``choiscope.superop_space``
+# replaced with matrix products over the vectorized bases and one realignment.
+
+def superop_inner_sum(phi: Channel, psi: Channel, basis: OperatorBasis) -> complex:
+    """sum_a <Phi(E_a), Psi(E_a)>, each image by ``apply``."""
+    total = 0.0 + 0.0j
+    for E in basis:
+        total += hs_inner(apply(phi, E, route="liouville"),
+                          apply(psi, E, route="liouville"))
+    return complex(total)
+
+
+def coefficients_by_entries(L, E: OperatorBasis, F: OperatorBasis):
+    """(P, Q) with p_ab = <Delta_ab, L> and q_ab = <Theta_ab, L>, entry by entry."""
+    n = len(E)
+    P = np.empty((n, n), dtype=complex)
+    Q = np.empty((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            P[a, b] = hs_inner(delta_liouville(E[a], F[b]), L)
+            Q[a, b] = hs_inner(theta_liouville(E[a], F[b]), L)
+    return P, Q
+
+
+def delta_sum(P, E: OperatorBasis, F: OperatorBasis) -> np.ndarray:
+    """sum_ab p_ab Delta_ab, the Liouville matrix with dyadic coefficients P."""
+    n = len(E)
+    return sum(P[a, b] * delta_liouville(E[a], F[b])
+               for a in range(n) for b in range(n))
+
+
+def theta_sum(Q, E: OperatorBasis, F: OperatorBasis) -> np.ndarray:
+    """sum_ab q_ab Theta_ab, the Liouville matrix with sandwich coefficients Q."""
+    n = len(E)
+    return sum(Q[a, b] * theta_liouville(E[a], F[b])
+               for a in range(n) for b in range(n))
+
+
+def trace_kernel_convert(C, E: OperatorBasis, F: OperatorBasis) -> np.ndarray:
+    """C'_ab = sum_mn tr(E_a^dag E_m F_b F_n^dag) C_mn, the P <-> Q kernel."""
+    Earr = np.stack(list(E.elements))
+    Farr = np.stack(list(F.elements))
+    # G[a, m, i, j] = (E_a^dag E_m)_{ij}; H[b, n, j, i] = (F_b F_n^dag)_{ji}
+    G = np.einsum("aki,mkj->amij", Earr.conj(), Earr)
+    H = np.einsum("bjk,nik->bnji", Farr, Farr.conj())
+    return np.einsum("amij,bnji,mn->ab", G, H, as_matrix(C))
+
+
+def lambda_iso_sum(phi: Channel, E: OperatorBasis, F: OperatorBasis) -> np.ndarray:
+    """sum_a Phi(E_a) (x) F_a, each image by ``apply``."""
+    return sum(tensor(apply(phi, E_a, route="liouville"), F_a)
+               for E_a, F_a in zip(E, F))
+
+
+# -- channel permutations, as ``choiscope.channels`` wrote them ---------------
+# The library now calls ``realign``, ``realign_inverse`` and the flips of
+# ``choiscope.reshape``; these former bodies must agree with it exactly.
+
+def liouville_choi_permute(M, d_in: int, d_out: int, to_choi: bool) -> np.ndarray:
+    """The L <-> D index permutation D[u*dout+m, v*dout+n] = L[n*dout+m, v*din+u]."""
+    if to_choi:
+        four = M.reshape(d_out, d_out, d_in, d_in)  # (n, m, v, u)
+        return four.transpose(3, 1, 2, 0).reshape(d_out * d_in, d_out * d_in)
+    four = M.reshape(d_in, d_out, d_in, d_out)  # (u, m, v, n)
+    return four.transpose(3, 1, 2, 0).reshape(d_out ** 2, d_in ** 2)
+
+
+def swap_conjugate_by_index(L, N: int, mode: str) -> np.ndarray:
+    """S L, L S or S L S by gathering with the swap's index map."""
+    s = np.arange(N * N).reshape(N, N).T.reshape(-1)  # swap_operator(N) @ x == x[s]
+    if mode == "left":
+        return L[s]
+    if mode == "right":
+        return L[:, s]
+    return L[np.ix_(s, s)]
 
 
 def reference_improve_term(rho_a, e, f, shape: BipartiteShape,

@@ -11,8 +11,8 @@ from choiscope.errors import (CandidateOutsideRange, NonConvergence,
                               NonFinite, NotAState, NotCompletelyPositive,
                               ShapeMismatch, ZeroMatrix)
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
-                                  random_product_mixture, swap_channel,
-                                  werner_state)
+                                  random_product_mixture, random_state,
+                                  swap_channel, werner_state)
 from choiscope.numerics import DEFAULT_TOL, Tolerance
 from choiscope.reshape import (BipartiteShape, swap_operator, tensor,
                                tensor_vectors, vectorize)
@@ -159,6 +159,21 @@ def test_osa_rejects_out_of_range_candidates():
     rho = np.outer(SINGLET, SINGLET.conj())
     with pytest.raises(CandidateOutsideRange):
         osa_fixed_set(rho, [ProductVector(E0, E0)])
+
+
+def test_osa_rejects_candidates_of_the_wrong_dimension():
+    with pytest.raises(ShapeMismatch):
+        osa_fixed_set(random_state(4, 0), [ProductVector(np.ones(3), np.ones(3))])
+
+
+@pytest.mark.parametrize("e,error", [(np.zeros(2), ZeroMatrix),
+                                     (np.array([np.nan, 1.0]), NonFinite),
+                                     (np.array([np.inf, 0.0]), NonFinite)])
+def test_product_vector_rejects_zero_and_non_finite_factors(e, error):
+    with pytest.raises(error):
+        ProductVector(e, E1)
+    with pytest.raises(error):
+        ProductVector(E1, e)
 
 
 def test_osa_invariants(rng):

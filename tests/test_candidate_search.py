@@ -295,6 +295,33 @@ def test_symmetric_extension_decides_the_antisymmetric_subspace(d):
     assert dec.certificate == "symmetric_extension" and dec.lambda_total == 0.0
 
 
+def test_realignment_decides_a_range_the_extension_cannot():
+    # span{|0>|1> + |1>|0> + |2>|0>, |0>|0> - |1>|1> + |2>|1>} at 3x3, A ket
+    # first: the best product overlap is 2/3 and sigma_max(R(Pi)) = sqrt(2/3),
+    # but the level-2 bound is 1, so only level 1 proves Lambda = 0 here
+    shape = BipartiteShape(3, 3)
+    I = np.eye(3)
+
+    def ket(m, u):
+        return tensor_vectors(I[m], I[u])
+
+    cols, _ = np.linalg.qr(np.stack([ket(0, 1) + ket(1, 0) + ket(2, 0),
+                                     ket(0, 0) - ket(1, 1) + ket(2, 1)], axis=1))
+    Pi = cols @ cols.T
+    sigma = np.linalg.svd(realign(Pi, shape), compute_uv=False)[0]
+    assert abs(sigma - np.sqrt(2 / 3)) <= 1e-12
+    assert abs(_symmetric_extension_bound(cols, shape) - 1.0) <= 1e-12
+    rng = np.random.default_rng(77)
+    best = max(reference_best_product_overlap(Pi.reshape(3, 3, 3, 3),
+                                              random_complex(rng, 3),
+                                              random_complex(rng, 3))[2]
+               for _ in range(20))
+    assert abs(best - 2 / 3) <= 1e-9
+    assert _product_free_certificate(cols, Pi, shape) == "realignment"
+    dec = bsa_state(Pi / 2, shape, budget=5, seed=0)
+    assert dec.certificate == "realignment" and dec.lambda_total == 0.0
+
+
 @pytest.mark.parametrize("d_A,d_B", [(2, 2), (2, 3), (3, 3), (4, 4)])
 def test_symmetric_extension_decides_what_two_copies_decide(d_A, d_B):
     rng = np.random.default_rng(900)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from choiscope.channels import (Channel, apply, choi_to_kraus, compose,
+from choiscope.channels import (Channel, apply, choi_to_kraus,
+                                choi_to_liouville, compose,
                                 compose_choi, dual, identity_channel,
                                 kraus_to_liouville, liouville_to_choi, mix,
                                 superop_hs_inner, tensor_channels,
                                 transpose_channel, transpose_conjugations,
                                 validate)
-from choiscope.errors import NotCompletelyPositive
+from choiscope.errors import NotCompletelyPositive, ShapeMismatch
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
                                   random_state)
 from choiscope.numerics import hs_inner, min_eigenvalue
@@ -167,6 +168,14 @@ def test_realign_positivity_of_cp_pair_images(rng):
         sigma = apply(tensor_channels(phi, psi), rho)
         R = realign(sigma, shape)
         assert min_eigenvalue(R @ R.conj().T) >= -1e-9
+
+
+@pytest.mark.parametrize("d_in,d_out", [(0, 2), (-2, -1), (3, 2), (2, 1)])
+def test_conversions_reject_dimensions_that_do_not_fit(d_in, d_out):
+    with pytest.raises(ShapeMismatch):
+        liouville_to_choi(np.eye(4), d_in, d_out)
+    with pytest.raises(ShapeMismatch):
+        choi_to_liouville(np.eye(4), d_in, d_out)
 
 
 def test_transpose_conjugations():

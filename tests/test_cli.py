@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +262,18 @@ def test_inspect_rejects_boolean_and_non_finite_entries(tmp_path, capsys, entry)
     assert code == EXIT_IO
     assert report is None
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [["inspect"], ["bsa", "--seed", "0"]])
+def test_non_utf8_input_is_parse_error(tmp_path, verb):
+    src = tmp_path / "bad.json"
+    src.write_bytes(b"\xff\xfe" + (FIXTURES / "maxmixed.json").read_bytes())
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "choiscope", verb[0], str(src), *verb[1:]],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_IO
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: not UTF-8 text")
 
 
 @pytest.mark.parametrize("argv", [["identity", "0"], ["identity", "-1"],

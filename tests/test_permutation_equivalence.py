@@ -1,26 +1,29 @@
 """The channel-algebra permutations against their dense-matrix definitions.
 
 The library applies ``middle_swap`` and ``swap_operator`` as index
-permutations (reshape-transposes and broadcast products) and builds the
-Q coefficients and basis Gram matrices with a few matrix products.  The
-references here are the dense permutation products and the per-entry
-loops those are defined by: pure permutations must agree exactly, sums
-to 1e-12.
+permutations (reshape-transposes and broadcast products), converts
+between Liouville and Choi matrices with ``realign``/``realign_inverse``,
+and builds the Q coefficients and basis Gram matrices with a few matrix
+products.  The references here are the dense permutation products, the
+index permutations the library used before, and the per-entry loops
+those are defined by: pure permutations must agree exactly, sums to
+1e-12.
 """
 
 import numpy as np
 import pytest
 
 from choiscope.bsa import _regroup, bipartite_choi
-from choiscope.channels import (liouville_to_choi, tensor_channels,
-                                transpose_conjugations)
+from choiscope.channels import (choi_to_liouville, liouville_to_choi,
+                                tensor_channels, transpose_conjugations)
 from choiscope.errors import NotOrthonormal
 from choiscope.generators import random_cp_channel
-from choiscope.numerics import hs_inner
 from choiscope.reshape import middle_swap, swap_operator, tensor, vectorize
 from choiscope.superop_space import (OperatorBasis, coefficients,
-                                     elementary_basis, rotated_basis,
-                                     theta_liouville)
+                                     elementary_basis, rotated_basis)
+
+from oracles import (coefficients_by_entries, liouville_choi_permute,
+                     swap_conjugate_by_index)
 
 SIZES = [1, 2, 3, 4, 5]
 SEEDS = [0, 1, 2]
@@ -45,15 +48,6 @@ def _dense_bipartite_choi(operators, d):
         w = P @ vectorize(M)
         E += np.outer(w, w.conj())
     return E
-
-
-def _loop_Q(L, E, F):
-    n = len(E)
-    Q = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            Q[a, b] = hs_inner(theta_liouville(E[a], F[b]), L)
-    return Q
 
 
 @pytest.mark.parametrize("N", SIZES)
@@ -106,6 +100,25 @@ def test_transpose_conjugations_match_dense_swap(N, seed):
         assert np.array_equal(transpose_conjugations(phi, mode).liouville, want)
 
 
+@pytest.mark.parametrize("d_in,d_out", [(1, 1), (1, 3), (2, 3), (3, 2),
+                                        (4, 4), (5, 5), (2, 5)])
+def test_liouville_choi_conversions_match_former_permutation(d_in, d_out):
+    phi = random_cp_channel(d_in, d_out, 7)
+    L, D = phi.liouville, phi.choi
+    assert np.array_equal(liouville_to_choi(L, d_in, d_out),
+                          liouville_choi_permute(L, d_in, d_out, to_choi=True))
+    assert np.array_equal(choi_to_liouville(D, d_in, d_out),
+                          liouville_choi_permute(D, d_in, d_out, to_choi=False))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_transpose_conjugations_match_former_index_map(N):
+    phi = random_cp_channel(N, N, 3)
+    for mode in ("left", "right", "both"):
+        assert np.array_equal(transpose_conjugations(phi, mode).liouville,
+                              swap_conjugate_by_index(phi.liouville, N, mode))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("N", SIZES)
 def test_coefficients_Q_matches_entry_loop(N, seed):
@@ -113,7 +126,8 @@ def test_coefficients_Q_matches_entry_loop(N, seed):
     for E, F in ((elementary_basis(N), elementary_basis(N)),
                  (rotated_basis(N, seed), rotated_basis(N, seed + 1))):
         Q = coefficients(phi, E, F).Q
-        assert np.max(np.abs(Q - _loop_Q(phi.liouville, E, F))) <= 1e-12
+        _, want = coefficients_by_entries(phi.liouville, E, F)
+        assert np.max(np.abs(Q - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("N", SIZES)

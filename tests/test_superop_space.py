@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from choiscope.channels import Channel, identity_channel
+from choiscope.channels import Channel, identity_channel, transpose_channel
 from choiscope.errors import NotOrthonormal, ShapeMismatch
 from choiscope.generators import random_cp_channel
 from choiscope.numerics import hs_inner
@@ -12,7 +12,9 @@ from choiscope.superop_space import (OperatorBasis, SuperopCoeffs,
                                      lambda_iso, rotated_basis, superop_inner,
                                      theta_liouville)
 
-from oracles import basis_resolution_checks
+from oracles import (basis_resolution_checks, coefficients_by_entries,
+                     delta_sum, lambda_iso_sum, superop_inner_sum, theta_sum,
+                     trace_kernel_convert)
 
 
 def test_elementary_basis_is_orthonormal():
@@ -113,3 +115,42 @@ def test_coefficients_rejects_mismatched_dimensions():
     with pytest.raises(ShapeMismatch):
         coefficients(random_cp_channel(2, 3, 0), elementary_basis(2),
                      elementary_basis(2))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_closed_forms_match_basis_loops(N):
+    # the matrix-product forms against the sums over basis elements and
+    # pairs that define them, for a CP map and for the (non-CP) transpose
+    psi = random_cp_channel(N, N, N + 40)
+    for phi in (random_cp_channel(N, N, N), transpose_channel(N)):
+        for E, F in ((elementary_basis(N), elementary_basis(N)),
+                     (rotated_basis(N, N), rotated_basis(N, N + 20))):
+            co = coefficients(phi, E, F)
+            P, Q = coefficients_by_entries(phi.liouville, E, F)
+            pairs = [(co.P, P), (co.Q, Q),
+                     (co.reconstruct_from_P(), delta_sum(co.P, E, F)),
+                     (co.reconstruct_from_Q(), theta_sum(co.Q, E, F)),
+                     (convert_coeffs(co.P, E, F), trace_kernel_convert(co.P, E, F)),
+                     (convert_coeffs(co.Q, E, F), trace_kernel_convert(co.Q, E, F)),
+                     (lambda_iso(phi, E, F), lambda_iso_sum(phi, E, F))]
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-12
+            assert abs(superop_inner(phi, psi, E)
+                       - superop_inner_sum(phi, psi, E)) <= 1e-12
+
+
+def test_basis_maps_reject_mismatched_dimensions():
+    phi = random_cp_channel(2, 2, 0)
+    B2, B3 = elementary_basis(2), elementary_basis(3)
+    calls = [
+        lambda: superop_inner(phi, phi, B3),
+        lambda: superop_inner(phi, random_cp_channel(3, 2, 0), B2),
+        lambda: superop_inner(phi, random_cp_channel(2, 3, 0), B2),
+        lambda: lambda_iso(phi, B3, B3),
+        lambda: lambda_iso(phi, B2, B3),
+        lambda: convert_coeffs(np.eye(4), B2, B3),
+        lambda: convert_coeffs(np.eye(9), B2, B2),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatch):
+            call()
