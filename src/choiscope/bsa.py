@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, _kraus_stack
 from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NonFinite, NotAState, NotCompletelyPositive,
                      ShapeMismatch, ZeroMatrix)
@@ -797,18 +797,17 @@ def bipartite_choi(operators: Sequence[np.ndarray], d: int,
     ``E = sum_k w_k w_k^dag`` with ``w_k`` the subsystem-grouped
     vectorization of the Kraus operator; ``normalized`` divides by d^2
     so E is the literal image of normalized maximally entangled
-    projectors.
+    projectors.  The set is checked as in ``kraus_to_liouville``: an
+    empty or ragged set raises ``ShapeMismatch``.
     """
     n = d * d
-    ops = [as_matrix(M) for M in operators]
-    for M in ops:
-        if M.shape != (n, n):
-            raise DimensionMismatch(f"Kraus operator is {M.shape}, expected {(n, n)}")
+    K = _kraus_stack(operators)
+    if K.shape[1:] != (n, n):
+        raise DimensionMismatch(f"Kraus operator is {K.shape[1:]}, expected {(n, n)}")
     # w_k is vectorize(M_k) with its middle factors swapped: entry
     # (c1, r1, c0, r0) is M_k[(r1, r0), (c1, c0)].  Rows of W are the w_k,
     # so sum_k w_k w_k^dag = W^t W^*
-    stacked = np.array(ops, dtype=complex).reshape(len(ops), d, d, d, d)
-    W = stacked.transpose(0, 3, 1, 4, 2).reshape(len(ops), n * n)
+    W = K.reshape(len(K), d, d, d, d).transpose(0, 3, 1, 4, 2).reshape(len(K), n * n)
     E = W.T @ W.conj()
     return E / (d * d) if normalized else E
 

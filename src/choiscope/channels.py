@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCompletelyPositive, ShapeMismatch
+from .errors import (DimensionMismatch, NonFinite, NotCompletelyPositive,
+                     ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eig_hermitian,
                        hermitian_gap, hs_inner)
 from .reshape import (BipartiteShape, _blocks, devectorize, flip, flip_col,
@@ -25,18 +26,74 @@ from .reshape import (BipartiteShape, _blocks, devectorize, flip, flip_col,
                       swap_operator, tensor, vectorize)
 
 
-def kraus_to_liouville(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """L = sum_j G_j (x) G_j^* (type-I tensor)."""
-    ops = [as_matrix(G) for G in operators]
-    if not ops:
+# Entries of L's terms that kraus_to_liouville builds at once: a 2**18-entry
+# complex chunk is 4 MB, so a long set of large operators is summed a few
+# operators at a time and never holds all r terms of L.
+KRAUS_CHUNK_ENTRIES = 1 << 18
+
+
+def _kraus_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """A Kraus set as one ``(r, d_out, d_in)`` complex array.
+
+    One conversion, one shape check and one finiteness pass over the
+    whole set, raising the typed errors of checking each operator with
+    :func:`~choiscope.numerics.as_matrix`.  Operators of different shapes
+    do not stack; they are checked one by one first, so a non-matrix or
+    non-finite operator is reported before the shape mismatch.
+    """
+    if not (isinstance(operators, np.ndarray) and operators.ndim):
+        operators = list(operators)  # any iterable, as a per-operator loop takes
+    try:
+        K = np.asarray(operators, dtype=complex)
+    except ValueError:
+        for G in operators:
+            as_matrix(G)
+        raise ShapeMismatch("Kraus operators differ in shape") from None
+    if not len(K):
         raise ShapeMismatch("empty Kraus set")
-    if any(G.shape != ops[0].shape for G in ops):
-        raise ShapeMismatch("Kraus operators differ in shape")
-    d_out, d_in = ops[0].shape
-    L = np.zeros((d_out ** 2, d_in ** 2), dtype=complex)
-    for G in ops:
-        L += tensor(G, G.conj())
-    return L
+    if K.ndim != 3:
+        raise ShapeMismatch(f"expected a matrix, got ndim={K.ndim - 1}")
+    if not np.isfinite(K).all():
+        raise NonFinite("matrix contains non-finite entries")
+    return K
+
+
+def _sum_in_order(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``acc + terms[0] + terms[1] + ...``, added left to right as a ``+=`` loop adds.
+
+    ``ndarray.sum`` over axis 0 adds term by term, except when each term
+    is a single entry: numpy sums a contiguous run pairwise, so those are
+    added in a loop.  ``terms`` is a scratch array and is overwritten.
+    """
+    if acc.size == 1:
+        for term in terms:
+            acc = acc + term
+        return acc
+    terms[0] += acc
+    return terms.sum(axis=0)
+
+
+def _stack_liouville(K: np.ndarray) -> np.ndarray:
+    """L of a stacked Kraus set; see :func:`kraus_to_liouville`."""
+    r, d_out, d_in = K.shape
+    L = np.zeros((d_out, d_out, d_in, d_in), dtype=complex)
+    step = max(1, KRAUS_CHUNK_ENTRIES // max(1, L.size))
+    for j in range(0, r, step):
+        G = K[j:j + step]
+        L = _sum_in_order(L, G.conj()[:, :, None, :, None] * G[:, None, :, None, :])
+    return L.reshape(d_out * d_out, d_in * d_in)
+
+
+def kraus_to_liouville(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """L = sum_j G_j (x) G_j^* (type-I tensor).
+
+    The set is stacked once and every term is one broadcast product,
+    entry ``[(u, m), (v, n)]`` of term j being ``conj(G_j[u, v]) *
+    G_j[m, n]``, the operands of ``np.kron(G_j^*, G_j)`` in their order.
+    The terms are added from zero in operator order, so L equals the
+    per-operator kron loop bit for bit.
+    """
+    return _stack_liouville(_kraus_stack(operators))
 
 
 def liouville_to_choi(L: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
@@ -59,13 +116,15 @@ def choi_to_kraus(D: np.ndarray, d_in: int, d_out: int,
     w, V = eig_hermitian(D, tol)
     if w[0] < -tol.atol:
         raise NotCompletelyPositive(f"Choi matrix has eigenvalue {w[0]:.3e} < -atol")
-    ops = []
-    for k in range(w.size - 1, -1, -1):
-        if w[k] > tol.atol:
-            ops.append(devectorize(np.sqrt(w[k]) * V[:, k], d_out, d_in))
-    if not ops:
-        ops.append(np.zeros((d_out, d_in), dtype=complex))
-    return ops
+    if w.size != d_out * d_in:
+        raise ShapeMismatch(
+            f"vector of length {w.size} cannot fill a {d_out}x{d_in} matrix")
+    keep = np.flatnonzero(w > tol.atol)[::-1]  # largest eigenvalue first
+    if not keep.size:
+        return [np.zeros((d_out, d_in), dtype=complex)]
+    # column j of cols is vectorize(G_j); devectorize them all in one reshape
+    cols = V[:, keep] * np.sqrt(w[keep])
+    return list(cols.T.reshape(keep.size, d_in, d_out).transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -80,6 +139,8 @@ class Channel:
     form, and when set it is an operator-sum form of ``liouville`` and
     ``choi``: ``D = sum_j vec(G_j) vec(G_j)^dag``.  ``apply``,
     ``kraus_operators`` and ``validate`` rely on this without checking it.
+    ``from_kraus`` stacks the set once into an ``(r, d_out, d_in)`` array
+    and ``kraus`` holds views of it, one per operator.
     """
 
     liouville: np.ndarray
@@ -96,15 +157,15 @@ class Channel:
     @classmethod
     def from_kraus(cls, operators: Sequence[np.ndarray], d_in: int = 0,
                    d_out: int = 0) -> "Channel":
-        ops = tuple(as_matrix(G) for G in operators)
-        L = kraus_to_liouville(ops)
-        shape_out, shape_in = ops[0].shape
+        K = _kraus_stack(operators)
+        _, shape_out, shape_in = K.shape
         if (d_in and d_in != shape_in) or (d_out and d_out != shape_out):
             raise DimensionMismatch(
-                f"Kraus operators are {ops[0].shape}, expected "
+                f"Kraus operators are {K.shape[1:]}, expected "
                 f"({d_out or shape_out}, {d_in or shape_in})")
+        L = _stack_liouville(K)
         return cls(L, shape_in, shape_out,
-                   liouville_to_choi(L, shape_in, shape_out), kraus=ops)
+                   liouville_to_choi(L, shape_in, shape_out), kraus=tuple(K))
 
     @classmethod
     def from_choi(cls, D, d_in: int, d_out: int) -> "Channel":
@@ -136,7 +197,9 @@ def apply(channel: Channel, rho, route: str = "auto") -> np.ndarray:
 
     ``route`` selects the evaluation path: ``"kraus"`` (operator sum,
     default when available), ``"liouville"`` (``vec`` action) or
-    ``"choi"`` (partial trace over the input copy).
+    ``"choi"`` (partial trace over the input copy).  The Kraus route is
+    one batched product ``K rho K^dag`` over the stacked operators, its
+    images added from zero in operator order.
     """
     rho = as_matrix(rho)
     if rho.shape != (channel.d_in, channel.d_in):
@@ -144,11 +207,9 @@ def apply(channel: Channel, rho, route: str = "auto") -> np.ndarray:
     if route == "auto":
         route = "kraus" if channel.kraus is not None else "liouville"
     if route == "kraus":
-        ops = channel.kraus_operators()
-        out = np.zeros((channel.d_out, channel.d_out), dtype=complex)
-        for G in ops:
-            out += G @ rho @ G.conj().T
-        return out
+        K = np.asarray(channel.kraus_operators())
+        return _sum_in_order(np.zeros((channel.d_out, channel.d_out), dtype=complex),
+                             K @ rho @ K.conj().transpose(0, 2, 1))
     if route == "liouville":
         return devectorize(channel.liouville @ vectorize(rho),
                            channel.d_out, channel.d_out)
@@ -220,7 +281,7 @@ def dual(channel: Channel) -> Channel:
     """Adjoint with respect to the Hilbert-Schmidt inner product."""
     kraus = None
     if channel.kraus is not None:
-        kraus = tuple(G.conj().T for G in channel.kraus)
+        kraus = tuple(np.asarray(channel.kraus).conj().transpose(0, 2, 1))
     L = channel.liouville.conj().T
     return Channel(L, channel.d_out, channel.d_in,
                    liouville_to_choi(L, channel.d_out, channel.d_in), kraus=kraus)
@@ -273,8 +334,8 @@ def tensor_channels(phi: Channel, psi: Channel) -> Channel:
     D = _middle_swapped_product(psi.choi, phi.choi, N)
     kraus = None
     if phi.kraus is not None and psi.kraus is not None:
-        G = np.array(phi.kraus, dtype=complex)
-        H = np.array(psi.kraus, dtype=complex)
+        G = _kraus_stack(phi.kraus)
+        H = _kraus_stack(psi.kraus)
         # tensor(G_i, H_j)[(h, g), (h', g')] = H_j[h, h'] * G_i[g, g']
         pairs = H[None, :, :, None, :, None] * G[:, None, None, :, None, :]
         kraus = tuple(pairs.reshape(-1, N * N, N * N))

@@ -34,6 +34,8 @@ class OperatorBasis:
     def __post_init__(self):
         els = tuple(as_matrix(E) for E in self.elements)
         object.__setattr__(self, "elements", els)
+        if not els:
+            raise ShapeMismatch("empty operator basis")
         N = els[0].shape[0]
         if any(E.shape != (N, N) for E in els) or len(els) != N * N:
             raise ShapeMismatch("basis must contain N^2 square N x N matrices")

@@ -13,8 +13,9 @@ import numpy as np
 
 from choiscope.channels import (Channel, ValidationReport, apply,
                                 tensor_channels)
-from choiscope.errors import ParseError, ShapeMismatch
-from choiscope.numerics import DEFAULT_TOL, Tolerance, as_matrix, hs_inner
+from choiscope.errors import NotCompletelyPositive, ParseError, ShapeMismatch
+from choiscope.numerics import (DEFAULT_TOL, Tolerance, as_matrix,
+                                eig_hermitian, hs_inner)
 from choiscope.reshape import (BipartiteShape, devectorize, middle_swap,
                                partial_trace_A, realign, swap_operator, tensor,
                                tensor_vectors, vectorize)
@@ -95,6 +96,45 @@ def choi_from_kraus_vectors(operators: Sequence[np.ndarray]) -> np.ndarray:
         v = np.asarray(G, dtype=complex).reshape(-1, order="F")
         D = D + np.outer(v, v.conj())
     return D
+
+
+def kraus_to_liouville_loop(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """L = sum_j G_j (x) G_j^*, one kron per operator added to zeros."""
+    ops = [as_matrix(G) for G in operators]
+    if not ops:
+        raise ShapeMismatch("empty Kraus set")
+    if any(G.shape != ops[0].shape for G in ops):
+        raise ShapeMismatch("Kraus operators differ in shape")
+    d_out, d_in = ops[0].shape
+    L = np.zeros((d_out ** 2, d_in ** 2), dtype=complex)
+    for G in ops:
+        L += tensor(G, G.conj())
+    return L
+
+
+def apply_kraus_loop(operators: Sequence[np.ndarray], rho) -> np.ndarray:
+    """sum_j G_j rho G_j^dag, one image per operator added to zeros."""
+    ops = [as_matrix(G) for G in operators]
+    d_out = ops[0].shape[0]
+    out = np.zeros((d_out, d_out), dtype=complex)
+    for G in ops:
+        out += G @ as_matrix(rho) @ G.conj().T
+    return out
+
+
+def choi_to_kraus_loop(D, d_in: int, d_out: int,
+                       tol: Tolerance = DEFAULT_TOL) -> list:
+    """Kraus operators of a PSD Choi matrix, one eigenvector at a time."""
+    w, V = eig_hermitian(D, tol)
+    if w[0] < -tol.atol:
+        raise NotCompletelyPositive(f"Choi matrix has eigenvalue {w[0]:.3e} < -atol")
+    ops = []
+    for k in range(w.size - 1, -1, -1):
+        if w[k] > tol.atol:
+            ops.append(devectorize(np.sqrt(w[k]) * V[:, k], d_out, d_in))
+    if not ops:
+        ops.append(np.zeros((d_out, d_in), dtype=complex))
+    return ops
 
 
 def validate_via_liouville(channel: Channel,

@@ -176,6 +176,8 @@ def test_conversions_reject_dimensions_that_do_not_fit(d_in, d_out):
         liouville_to_choi(np.eye(4), d_in, d_out)
     with pytest.raises(ShapeMismatch):
         choi_to_liouville(np.eye(4), d_in, d_out)
+    with pytest.raises(ShapeMismatch):
+        choi_to_kraus(np.eye(4), d_in, d_out)
 
 
 def test_transpose_conjugations():

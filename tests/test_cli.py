@@ -44,6 +44,9 @@ def test_inspect_identity_facts():
 @pytest.mark.parametrize("fixture,target,golden", [
     ("identity2.json", "choi", "convert_identity2_choi.json"),
     ("depolarizing2.json", "liouville", "convert_depolarizing2_liouville.json"),
+    # inexact Kraus entries: L and D are sums of non-trivial products
+    ("random_cp4x4.json", "liouville", "convert_random_cp4x4_liouville.json"),
+    ("random_cp4x4.json", "choi", "convert_random_cp4x4_choi.json"),
 ])
 def test_convert_golden(tmp_path, fixture, target, golden):
     code, text = run(tmp_path, "convert", str(FIXTURES / fixture), target)

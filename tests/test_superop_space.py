@@ -39,6 +39,14 @@ def test_operator_basis_rejects_non_orthonormal():
         OperatorBasis((np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("make", [lambda: OperatorBasis(()),
+                                  lambda: elementary_basis(0),
+                                  lambda: rotated_basis(0, 1)])
+def test_empty_basis_is_a_shape_mismatch(make):
+    with pytest.raises(ShapeMismatch, match="empty operator basis"):
+        make()
+
+
 def test_inner_product_basis_independent():
     phi = random_cp_channel(2, 2, seed=1)
     psi = random_cp_channel(2, 2, seed=2)
