@@ -110,12 +110,15 @@ def choi_to_kraus(D: np.ndarray, d_in: int, d_out: int,
                   tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Kraus operators from the eigendecomposition of a PSD Choi matrix.
 
-    Eigenvalues in [-atol, atol] are discarded; anything below -atol means
-    the map is not CP and raises.
+    Eigenvalues at or below atol are discarded.  One below
+    ``-(atol + rtol * max|w|)``, with ``max|w|`` the largest eigenvalue
+    modulus, means the map is not CP and raises.
     """
     w, V = eig_hermitian(D, tol)
-    if w[0] < -tol.atol:
-        raise NotCompletelyPositive(f"Choi matrix has eigenvalue {w[0]:.3e} < -atol")
+    floor = tol.atol + tol.rtol * max(-w[0], w[-1])
+    if w[0] < -floor:
+        raise NotCompletelyPositive(
+            f"Choi matrix has eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|) = {-floor:.3e}")
     if w.size != d_out * d_in:
         raise ShapeMismatch(
             f"vector of length {w.size} cannot fill a {d_out}x{d_in} matrix")

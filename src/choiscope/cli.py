@@ -9,6 +9,7 @@ feasibility failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import os
@@ -19,9 +20,8 @@ import numpy as np
 
 from . import serialization as ser
 from .bsa import bsa_operation, bsa_state
-from .channels import Channel, compose, identity_channel, tensor_channels, validate
-from .errors import (ChoiscopeError, NotAState, NotCompletelyPositive,
-                     ParseError)
+from .channels import compose, tensor_channels, validate
+from .errors import ChoiscopeError, NotAState, ParseError
 from .generators import (NAMED_CHANNELS, depolarizing_channel,
                          random_cp_channel, random_state)
 from .numerics import DEFAULT_TOL, Tolerance, check_hermitian, min_eigenvalue
@@ -49,7 +49,15 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(atol=tol, rtol=tol)
 
 
-def _load_with_digest(path):
+def _seed(args) -> int:
+    if args.seed is None:
+        raise ParseError(f"{getattr(args, 'name', args.verb)} requires an explicit --seed")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
+def _load(path):
     """The parsed file and the SHA-256 of the bytes it was parsed from."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -68,9 +76,14 @@ def _complex_pairs(v) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v).ravel()]
 
 
+def _terms(terms) -> list:
+    return [{"lambda": float(lam), "e": _complex_pairs(pv.e), "f": _complex_pairs(pv.f)}
+            for lam, pv in terms]
+
+
 def cmd_inspect(args) -> int:
     tol = _tolerance(args)
-    cf, digest = _load_with_digest(args.path)
+    cf, digest = _load(args.path)
     report = {
         "schema": REPORT_SCHEMA,
         "command": "inspect",
@@ -96,28 +109,17 @@ def cmd_inspect(args) -> int:
         })
         valid = ok and mn >= -tol.atol
     else:
-        channel = cf.to_channel()
-        rep = validate(channel, tol)
-        report.update({
-            "hermiticity_preserving": rep.hermiticity_preserving,
-            "trace_preserving": rep.trace_preserving,
-            "trace_nonincreasing": rep.trace_nonincreasing,
-            "completely_positive": rep.completely_positive,
-            "choi_trace": rep.choi_trace,
-            "min_choi_eigenvalue": rep.min_choi_eigenvalue,
-        })
+        rep = validate(cf.to_channel(), tol)
+        report.update(dataclasses.asdict(rep))
         valid = rep.completely_positive
     _write(args, ser.canonical_dumps(report))
     return EXIT_OK if valid else EXIT_INVALID
 
 
 def cmd_convert(args) -> int:
-    cf = ser.load_path(args.path)
-    channel = cf.to_channel()
-    if args.target == "kraus":
-        # raises NotCompletelyPositive on maps like the transpose
-        channel.kraus_operators()
-    _write(args, ser.dump_channel(channel, args.target))
+    cf, _ = _load(args.path)
+    # a "kraus" target raises NotCompletelyPositive on maps like the transpose
+    _write(args, ser.dump_channel(cf.to_channel(), args.target))
     return EXIT_OK
 
 
@@ -130,9 +132,7 @@ def _bsa_state_report(args, cf, tol):
         "term_count": len(dec.terms),
         "residual_min_eigenvalue": float(min_eigenvalue(dec.residual)),
         "candidate_set_size": dec.candidate_set_size,
-        "terms": [{"lambda": float(lam),
-                   "e": _complex_pairs(pv.e),
-                   "f": _complex_pairs(pv.f)} for lam, pv in dec.terms],
+        "terms": _terms(dec.terms),
     }
 
 
@@ -147,19 +147,16 @@ def _bsa_operation_report(args, cf, tol):
         "term_count": len(result.terms),
         "ent_part_norm": float(np.linalg.norm(result.ent_part.choi)),
         "verdict": result.verdict.kind,
-        "terms": [{"lambda": float(lam),
-                   "e": _complex_pairs(pv.e),
-                   "f": _complex_pairs(pv.f)} for lam, pv in result.terms],
+        "terms": _terms(result.terms),
     }
 
 
 def cmd_bsa(args) -> int:
-    if args.seed is None:
-        raise ParseError("bsa requires an explicit --seed")
+    _seed(args)
     if args.budget < 0:
         raise ParseError(f"--budget must be non-negative, got {args.budget}")
     tol = _tolerance(args)
-    cf, digest = _load_with_digest(args.path)
+    cf, digest = _load(args.path)
     start = time.monotonic()
     body = (_bsa_operation_report(args, cf, tol) if args.operation
             else _bsa_state_report(args, cf, tol))
@@ -179,47 +176,28 @@ def cmd_bsa(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    name = args.name
-    if any(d < 1 for d in args.dims):
-        raise ParseError(f"gen: dimensions must be >= 1, got {args.dims}")
-    if name in NAMED_CHANNELS:
-        channel = NAMED_CHANNELS[name](args.dims[0])
-        text = ser.dump_channel(channel, "kraus" if name != "transpose" else "liouville")
-    elif name == "depolarizing":
-        channel = depolarizing_channel(args.dims[0], args.p)
-        text = ser.dump_channel(channel, "kraus")
-    elif name == "random-cp":
-        if args.seed is None:
-            raise ParseError("random-cp requires an explicit --seed")
-        d_in = args.dims[0]
-        d_out = args.dims[1] if len(args.dims) > 1 else d_in
-        text = ser.dump_channel(random_cp_channel(d_in, d_out, args.seed), "kraus")
-    elif name == "random-state":
-        if args.seed is None:
-            raise ParseError("random-state requires an explicit --seed")
-        d_A = args.dims[0]
-        d_B = args.dims[1] if len(args.dims) > 1 else d_A
-        rho = random_state(d_A * d_B, args.seed)
-        text = ser.dump_state(rho, (d_A, d_B))
+    name, dims = args.name, args.dims
+    if any(d < 1 for d in dims):
+        raise ParseError(f"gen: dimensions must be >= 1, got {dims}")
+    second = dims[1] if len(dims) > 1 else dims[0]
+    if name == "random-state":
+        text = ser.dump_state(random_state(dims[0] * second, _seed(args)), (dims[0], second))
     else:
-        raise ParseError(f"unknown generator {name!r}")
+        if name == "random-cp":
+            channel = random_cp_channel(dims[0], second, _seed(args))
+        elif name == "depolarizing":
+            channel = depolarizing_channel(dims[0], args.p)
+        else:
+            channel = NAMED_CHANNELS[name](dims[0])
+        text = ser.dump_channel(channel, "liouville" if name == "transpose" else "kraus")
     _write(args, text)
     return EXIT_OK
 
 
-def _load_two_channels(args):
-    return ser.load_path(args.path_a).to_channel(), ser.load_path(args.path_b).to_channel()
-
-
-def cmd_compose(args) -> int:
-    a, b = _load_two_channels(args)
-    _write(args, ser.dump_channel(compose(a, b), "liouville"))
-    return EXIT_OK
-
-
-def cmd_tensor(args) -> int:
-    a, b = _load_two_channels(args)
-    _write(args, ser.dump_channel(tensor_channels(a, b), "liouville"))
+def cmd_combine(args) -> int:
+    """Write ``args.combine`` (compose or tensor_channels) of the two input channels."""
+    a, b = (_load(path)[0].to_channel() for path in (args.path_a, args.path_b))
+    _write(args, ser.dump_channel(args.combine(a, b), "liouville"))
     return EXIT_OK
 
 
@@ -235,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="numerical tolerance (default: CHOISCOPE_TOL or 1e-9)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=["json"], default="json")
         if seed:
             p.add_argument("--seed", type=int, default=None)
         if budget:
@@ -268,17 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("compose", help="compose two channels (first after second)")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-    common(p)
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("tensor", help="tensor product of two channels")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-    common(p)
-    p.set_defaults(func=cmd_tensor)
+    for verb, combine, text in (
+            ("compose", compose, "compose two channels (first after second)"),
+            ("tensor", tensor_channels, "tensor product of two channels")):
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("path_a")
+        p.add_argument("path_b")
+        common(p)
+        p.set_defaults(func=cmd_combine, combine=combine)
     return parser
 
 

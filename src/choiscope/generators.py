@@ -82,7 +82,7 @@ def werner_state(p: float) -> np.ndarray:
 
 
 NAMED_CHANNELS = {
-    "identity": lambda N: identity_channel(N),
-    "transpose": lambda N: transpose_channel(N),
+    "identity": identity_channel,
+    "transpose": transpose_channel,
     "swap": swap_channel,
 }

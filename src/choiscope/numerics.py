@@ -47,13 +47,21 @@ def as_matrix(M) -> np.ndarray:
 
 
 def check_hermitian(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Return ``M`` if Hermitian within ``tol.atol`` (max-norm), else raise."""
+    """Return ``M`` if Hermitian within ``atol + rtol * max|M|``, else raise.
+
+    The rounding in ``max |M - M^dag|`` grows with the entries, so the
+    bound scales with the largest one, as :func:`svd_rank`'s does with the
+    largest singular value.
+    """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ShapeMismatch(f"matrix is {M.shape}, not square")
     dev = hermitian_gap(M)
+    # max|M| is read only when the gap passes the absolute part of the bound
     if dev > tol.atol:
-        raise NotHermitian(f"max |M - M^dag| = {dev:.3e} > atol = {tol.atol:.3e}")
+        bound = tol.atol + tol.rtol * float(np.max(np.abs(M)))
+        if dev > bound:
+            raise NotHermitian(f"max |M - M^dag| = {dev:.3e} > atol + rtol * max|M| = {bound:.3e}")
     return M
 
 

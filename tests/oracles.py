@@ -126,8 +126,10 @@ def choi_to_kraus_loop(D, d_in: int, d_out: int,
                        tol: Tolerance = DEFAULT_TOL) -> list:
     """Kraus operators of a PSD Choi matrix, one eigenvector at a time."""
     w, V = eig_hermitian(D, tol)
-    if w[0] < -tol.atol:
-        raise NotCompletelyPositive(f"Choi matrix has eigenvalue {w[0]:.3e} < -atol")
+    floor = tol.atol + tol.rtol * max(-w[0], w[-1])
+    if w[0] < -floor:
+        raise NotCompletelyPositive(
+            f"Choi matrix has eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|) = {-floor:.3e}")
     ops = []
     for k in range(w.size - 1, -1, -1):
         if w[k] > tol.atol:

@@ -16,7 +16,7 @@ from choiscope.reshape import (BipartiteShape, partial_trace_A,
                                partial_trace_B, realign, swap_operator,
                                tensor, vectorize)
 
-from conftest import random_complex, random_density
+from conftest import large_kraus_set, random_complex, random_density
 from oracles import choi_from_definition, realign_image_identity_check
 
 
@@ -58,6 +58,15 @@ def test_kraus_roundtrip_action():
                 E = np.zeros((3, 3), dtype=complex)
                 E[i, j] = 1.0
                 assert np.allclose(apply(ch, E), apply(back, E), atol=1e-8)
+
+
+@pytest.mark.parametrize("count", [18, 2])
+def test_choi_to_kraus_bounds_scale_with_the_matrix(count):
+    # entries ~1e7: the rounding of D's Hermitian gap (18 operators) and
+    # of its null eigenvalues (2 operators) exceeds an absolute 1e-9
+    D = Channel.from_kraus(large_kraus_set(count)).choi
+    back = Channel.from_kraus(choi_to_kraus(D, 4, 4)).choi
+    assert np.max(np.abs(back - D)) <= 1e-12 * np.max(np.abs(D))
 
 
 def test_choi_to_kraus_rejects_transpose():

@@ -11,6 +11,8 @@ from choiscope.channels import Channel
 from choiscope.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from choiscope.serialization import parse_text
 
+from conftest import large_kraus_set
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,6 +54,49 @@ def test_convert_golden(tmp_path, fixture, target, golden):
     code, text = run(tmp_path, "convert", str(FIXTURES / fixture), target)
     assert code == EXIT_OK
     assert text == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv,golden", [
+    # the left map is the identity, so the Liouville product is exact on any BLAS
+    (["compose", "identity2.json", "random_cp2.json"], "compose_identity2_random_cp2.json"),
+    # one elementwise product per entry
+    (["tensor", "random_cp2.json", "depolarizing2.json"], "tensor_random_cp2_depolarizing2.json"),
+    (["gen", "random-cp", "2", "3", "--seed", "1"], "gen_random_cp_2_3_1.json"),
+])
+def test_combine_and_gen_golden(tmp_path, argv, golden):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code, text = run(tmp_path, *argv)
+    assert code == EXIT_OK
+    assert text == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_convert_choi_to_kraus_decomposes_once(tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    src = GOLDEN / "convert_random_cp4x4_choi.json"
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    code, text = run(tmp_path, "convert", str(src), "kraus")
+    monkeypatch.undo()
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    D = parse_text(src.read_text(encoding="utf-8")).to_channel().choi
+    ops = parse_text(text).to_channel().kraus_operators()
+    assert np.max(np.abs(Channel.from_kraus(ops).choi - D)) < 1e-12
+
+
+def test_convert_large_entry_choi_to_kraus(tmp_path):
+    from choiscope.serialization import dump_channel
+    src = tmp_path / "large.json"
+    src.write_text(dump_channel(Channel.from_kraus(large_kraus_set(18)), "choi"),
+                   encoding="utf-8")
+    code, text = run(tmp_path, "convert", str(src), "kraus")
+    assert code == EXIT_OK
+    assert parse_text(text).kind == "kraus"
 
 
 def test_convert_chain_matches_direct(tmp_path):
@@ -161,6 +206,22 @@ def test_gen_random_deterministic(tmp_path):
 def test_gen_random_requires_seed(tmp_path):
     code, _ = run(tmp_path, "gen", "random-cp", "2")
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random-cp", "2", "--seed", "-1"],
+    ["gen", "random-state", "2", "--seed", "-1"],
+    ["bsa", str(FIXTURES / "maxmixed.json"), "--seed", "-1", "--budget", "5"],
+    # the range certificate returns before the BSA reads the seed
+    ["bsa", str(FIXTURES / "random_cp4x4.json"), "--operation", "--seed", "-1"],
+])
+def test_negative_seed_is_parse_error(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == EXIT_IO
+    assert text is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be a non-negative integer")
+    assert "Traceback" not in err
 
 
 def test_gen_depolarizing_full_strength(tmp_path):

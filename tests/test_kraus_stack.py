@@ -173,8 +173,8 @@ def test_choi_to_kraus_matches_loop_on_drawn_sets(case):
     D = (D + D.conj().T) / 2
 
     def outcome(call):
-        # large entries can round the least eigenvalue below -atol: both
-        # routes must then raise the same error
+        # should rounding put the least eigenvalue below the CP floor, both
+        # routes must raise the same error
         try:
             return [(G.shape, G.tobytes()) for G in call(D, d_in, d_out)]
         except NotCompletelyPositive as exc:
