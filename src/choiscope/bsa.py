@@ -33,8 +33,7 @@ from .channels import Channel, _kraus_stack
 from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NonFinite, NotAState, NotCompletelyPositive,
                      ShapeMismatch, ZeroMatrix)
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, check_hermitian,
-                       hermitian_gap)
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, check_hermitian
 from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
                       tensor, tensor_vectors)
 
@@ -42,6 +41,11 @@ from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
 # default because weights are accumulated over many subtractions.
 RANGE_TOL = 1e-9
 RESIDUAL_MIN_EIG = -1e-8
+# Terms above WEIGHTED_TERM steer the sweeps and refinement seeds, those above
+# KEPT_TERM are kept; _psd_scale takes PSD_SCALE_FLOOR as its PSD floor.
+WEIGHTED_TERM = 1e-10
+KEPT_TERM = 1e-12
+PSD_SCALE_FLOOR = -1e-12
 # A candidate product vector is kept when its overlap <e f|Pi|e f> with
 # the range projector reaches this value after the power iteration;
 # random draws at 1 - RANGE_TOL are kept without iterating.
@@ -111,17 +115,21 @@ class OperationBsa:
 def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None):
     """The Hermitian part of a valid BSA input and its one ``eigh`` pair; with
     ``choi_trace`` the input is a map's regrouped Choi matrix over that trace,
-    and the map's CP floor is checked first."""
+    a Hermitian gap raises ``NotCompletelyPositive`` and the CP floor, in the
+    map's scale, is checked first.  Each check allows ``bound`` of its scale,
+    with an atol of at least ``-RESIDUAL_MIN_EIG``."""
+    input_tol = Tolerance(atol=max(-RESIDUAL_MIN_EIG, tol.atol), rtol=tol.rtol)
     try:
-        rho = check_hermitian(rho, Tolerance(atol=max(1e-8, tol.atol), rtol=tol.rtol))
+        rho = check_hermitian(rho, input_tol)
     except Exception as exc:
-        raise NotAState(str(exc)) from exc
+        raise (NotAState if choi_trace is None else NotCompletelyPositive)(str(exc)) from exc
     # eigh reads one triangle; the Hermitian part makes rho and rho^dag agree
     rho = (rho + rho.conj().T) / 2.0
     w, V = np.linalg.eigh(rho)
-    if choi_trace is not None and choi_trace * w[0] < -tol.atol:
+    scale = max(-w[0], w[-1])
+    if choi_trace is not None and choi_trace * w[0] < -tol.bound(choi_trace * scale):
         raise NotCompletelyPositive("bsa_operation requires a CP map")
-    if w[0] < min(RESIDUAL_MIN_EIG, -tol.atol):
+    if w[0] < -input_tol.bound(scale):
         raise NotAState(f"min eigenvalue {w[0]:.3e} below feasibility tolerance")
     return rho, (w, V)
 
@@ -432,7 +440,7 @@ def _assemble(rho, lambdas, V, residual, candidate_set_size) -> BsaDecomposition
             if lam > 0:
                 sep += lam * pv.projector
         sep /= total
-    terms = tuple((float(lam), pv) for lam, pv in zip(lambdas, V) if lam > 1e-12)
+    terms = tuple((float(lam), pv) for lam, pv in zip(lambdas, V) if lam > KEPT_TERM)
     return BsaDecomposition(lambda_total=total, terms=terms,
                             separable_part=sep, residual=residual,
                             candidate_set_size=candidate_set_size)
@@ -466,7 +474,7 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
         for a in range(len(V)):
             rho_a = delta + lambdas[a] * projs[a]
             factor = _range(rho_a, tol.atol)
-            if vector_update and lambdas[a] > 1e-10:
+            if vector_update and lambdas[a] > WEIGHTED_TERM:
                 improved = _improve_term(factor, V[a], shape)
                 if improved is not None:
                     lam_new = _max_lambda_raw(factor, improved.vector)
@@ -481,7 +489,7 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
                 delta = rho_a - new * projs[a]
                 lambdas[a] = new
         if len(V) > 1:
-            weighted = np.flatnonzero(lambdas > 1e-10)
+            weighted = np.flatnonzero(lambdas > WEIGHTED_TERM)
             for k in range(min(len(V), PAIR_CAP)):
                 # half the draws pair a weighted term with a random partner,
                 # otherwise weight can't migrate off a small support set
@@ -540,13 +548,13 @@ def _barrier_ascent(rho, x, sigma_of, maxiter: int) -> np.ndarray:
 
 
 def _psd_scale(rho, sigma) -> float:
-    """Largest t in [0, 1] with rho - t*sigma PSD (to -1e-12), by bisection."""
-    if np.linalg.eigvalsh(rho - sigma)[0] >= -1e-12:
+    """Largest t in [0, 1] with rho - t*sigma PSD (to PSD_SCALE_FLOOR), by bisection."""
+    if np.linalg.eigvalsh(rho - sigma)[0] >= PSD_SCALE_FLOOR:
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = (lo + hi) / 2.0
-        if np.linalg.eigvalsh(rho - mid * sigma)[0] >= -1e-12:
+        if np.linalg.eigvalsh(rho - mid * sigma)[0] >= PSD_SCALE_FLOOR:
             lo = mid
         else:
             hi = mid
@@ -619,7 +627,7 @@ def _schmidt_factors(v: np.ndarray, shape: BipartiteShape, tol: Tolerance):
     """(e, f) if the bipartite vector is a product, else None."""
     M = np.asarray(v, dtype=complex).reshape(shape.d_B, shape.d_A).T  # M[m, u]
     U, s, Vh = np.linalg.svd(M)
-    if s.size > 1 and s[1] > tol.atol + tol.rtol * s[0]:
+    if s.size > 1 and s[1] > tol.bound(s[0]):
         return None
     # M = outer(e, f) = e f^T; numpy's Vh row is already f up to phase
     return U[:, 0], Vh[0, :]
@@ -672,7 +680,7 @@ def _barrier_terms(rho, shape: BipartiteShape, K: int, rng,
     a, b = unpack(_barrier_ascent(rho, x, sigma_of, maxiter=300))
     weights = (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)) ** 2
     terms = [(float(w), ProductVector(a[k], b[k]))
-             for k, w in enumerate(weights) if w > 1e-12]
+             for k, w in enumerate(weights) if w > KEPT_TERM]
     if not terms:
         return []
     # global rescale onto the PSD-feasible segment
@@ -757,7 +765,7 @@ def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
         # re-seed near the current high-weight directions, re-run, keep best
         V_b, lam_b, _ = best
         seeds = sorted(((lam_b[i], V_b[i]) for i in range(len(V_b))
-                        if lam_b[i] > 1e-10), key=lambda t: -t[0])
+                        if lam_b[i] > WEIGHTED_TERM), key=lambda t: -t[0])
         proposal = _barrier_terms(rho, shape, K, rng, seeds)
         V2 = [pv for _, pv in proposal]
         lam2 = np.array([w for w, _ in proposal])
@@ -839,13 +847,11 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
             f"expected a channel on a {d}x{d} bipartite system, got "
             f"{channel.d_in} -> {channel.d_out}")
     D = channel.choi
-    if hermitian_gap(D) > max(1e-8, tol.atol):
-        raise NotCompletelyPositive("bsa_operation requires a CP map")
     E = _regroup(D, d)
     trace = float(np.trace(E).real)
     if trace <= 0:
         raise NotCompletelyPositive("zero map has no BSA")
-    rho_E, eig = _check_state((E + E.conj().T) / (2.0 * trace), tol, trace)
+    rho_E, eig = _check_state(E / trace, tol, trace)
     shape = BipartiteShape(n, n)
     dec = _bsa_state(rho_E, _range(rho_E, tol.atol, eig), shape, budget, seed, tol)
     kraus = [np.sqrt(trace * lam) * tensor(devectorize(pv.e, d, d),

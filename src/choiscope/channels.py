@@ -111,11 +111,11 @@ def choi_to_kraus(D: np.ndarray, d_in: int, d_out: int,
     """Kraus operators from the eigendecomposition of a PSD Choi matrix.
 
     Eigenvalues at or below atol are discarded.  One below
-    ``-(atol + rtol * max|w|)``, with ``max|w|`` the largest eigenvalue
+    ``-tol.bound(max|w|)``, with ``max|w|`` the largest eigenvalue
     modulus, means the map is not CP and raises.
     """
     w, V = eig_hermitian(D, tol)
-    floor = tol.atol + tol.rtol * max(-w[0], w[-1])
+    floor = tol.bound(max(-w[0], w[-1]))
     if w[0] < -floor:
         raise NotCompletelyPositive(
             f"Choi matrix has eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|) = {-floor:.3e}")
@@ -240,36 +240,36 @@ class ValidationReport:
 def validate(channel: Channel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Diagnose the channel; never raises, the report carries the findings.
 
-    A channel carrying r < n = d_out * d_in Kraus operators has
-    ``D = K K^dag`` with r columns: it is PSD by construction and singular,
-    so its least eigenvalue is exactly 0 and no decomposition is made.
-    Every other channel (no Kraus operators, or r >= n) takes the spectrum
-    of the Hermitian part of ``D``.  The hermiticity and trace checks read
-    ``D`` alone on both paths: ``D`` is the realignment of ``L``, so
-    ``conj(tr_A D)`` is the dual map's image of the identity,
-    ``L^dag vec(I)`` devectorized (``sum_j G_j^dag G_j``), and the
-    Liouville matrix is never read.  A ``D`` with a NaN or infinite entry
-    has a non-finite hermiticity gap; it is reported not hermiticity
+    The Hermitian gap of ``D`` may reach ``tol.bound(max|D|)``, ``max|D|``
+    read only past atol as in ``check_hermitian``, and its least eigenvalue
+    ``-tol.bound(max|w|)``.  A channel carrying r < n = d_out * d_in Kraus
+    operators has ``D = K K^dag`` with r columns, PSD and singular, so its
+    least eigenvalue is exactly 0 with no decomposition; every other channel
+    takes the spectrum of the Hermitian part of ``D``.  The hermiticity and
+    trace checks read ``D`` alone: ``D`` is the realignment of ``L``, so
+    ``conj(tr_A D)`` is the dual map's image of the identity
+    (``sum_j G_j^dag G_j``), and ``L`` is never read.  A ``D`` with a NaN
+    or infinite entry has a non-finite gap; it is reported not hermiticity
     preserving, not trace-nonincreasing and not CP, with a NaN least
     eigenvalue, and no spectrum is taken.
     """
     D = channel.choi
     asymmetry = hermitian_gap(D)
     finite = bool(np.isfinite(asymmetry))
-    hermiticity = bool(asymmetry <= tol.atol)
+    hermiticity = asymmetry <= tol.atol or asymmetry <= tol.bound(float(np.max(np.abs(D))))
     # partial_trace_A without its finiteness check, which would raise on a NaN
     tr_A = np.einsum("akbk->ab", _blocks(D, channel.choi_shape))
     trace_preserving = bool(np.max(np.abs(tr_A - np.eye(channel.d_in))) <= tol.atol)
     unital_image = tr_A.conj()
     gap = np.eye(channel.d_in) - (unital_image + unital_image.conj().T) / 2.0
     trace_nonincreasing = finite and bool(np.linalg.eigvalsh(gap)[0] >= -tol.atol)
-    if not finite:
-        min_eig = float("nan")
-    elif channel.kraus is not None and len(channel.kraus) < D.shape[0]:
+    min_eig, scale = float("nan"), 0.0  # scale: the largest |eigenvalue| of D
+    if finite and channel.kraus is not None and len(channel.kraus) < D.shape[0]:
         min_eig = 0.0
-    else:
-        min_eig = float(np.linalg.eigvalsh((D + D.conj().T) / 2.0)[0])
-    completely_positive = hermiticity and min_eig >= -tol.atol
+    elif finite:
+        w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
+        min_eig, scale = float(w[0]), max(-w[0], w[-1])
+    completely_positive = hermiticity and min_eig >= -tol.bound(scale)
     return ValidationReport(
         hermiticity_preserving=hermiticity,
         trace_preserving=trace_preserving,
@@ -329,7 +329,7 @@ def tensor_channels(phi: Channel, psi: Channel) -> Channel:
     the stacked operators.
     """
     N = phi.d_in
-    if not (phi.d_in == phi.d_out == psi.d_in == psi.d_out):
+    if phi.d_out != N or psi.d_out != psi.d_in:
         raise DimensionMismatch("tensor_channels requires square channels")
     if psi.d_in != N:
         raise DimensionMismatch("tensor_channels requires equal subsystem dimensions")

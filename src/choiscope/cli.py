@@ -100,14 +100,15 @@ def cmd_inspect(args) -> int:
             ok = False
         # spectrum of the Hermitian part, so a non-Hermitian state is
         # still reported (and exits 2 through ``ok``)
-        mn = float(np.linalg.eigh((rho + rho.conj().T) / 2.0)[0][0])
+        w = np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
+        psd = bool(w[0] >= -tol.bound(max(-w[0], w[-1])))
         report.update({
             "hermitian": ok,
-            "min_eigenvalue": mn,
+            "min_eigenvalue": float(w[0]),
             "trace": float(np.trace(rho).real),
-            "positive_semidefinite": bool(mn >= -tol.atol),
+            "positive_semidefinite": psd,
         })
-        valid = ok and mn >= -tol.atol
+        valid = ok and psd
     else:
         rep = validate(cf.to_channel(), tol)
         report.update(dataclasses.asdict(rep))

@@ -17,7 +17,8 @@ from .errors import NonFinite, NotHermitian, NotPsd, ShapeMismatch
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair used throughout the library."""
+    """Absolute/relative tolerance pair: every Hermitian, PSD, CP and rank check
+    allows ``bound(scale) = atol + rtol * scale`` of its matrix's scale."""
 
     atol: float = 1e-9
     rtol: float = 1e-9
@@ -27,6 +28,9 @@ class Tolerance:
             raise ValueError("tolerances must be finite")
         if self.atol < 0 or self.rtol < 0:
             raise ValueError("tolerances must be non-negative")
+
+    def bound(self, scale: float) -> float:
+        return float(self.atol + self.rtol * scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -58,10 +62,8 @@ def check_hermitian(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ShapeMismatch(f"matrix is {M.shape}, not square")
     dev = hermitian_gap(M)
     # max|M| is read only when the gap passes the absolute part of the bound
-    if dev > tol.atol:
-        bound = tol.atol + tol.rtol * float(np.max(np.abs(M)))
-        if dev > bound:
-            raise NotHermitian(f"max |M - M^dag| = {dev:.3e} > atol + rtol * max|M| = {bound:.3e}")
+    if dev > tol.atol and dev > (bound := tol.bound(float(np.max(np.abs(M))))):
+        raise NotHermitian(f"max |M - M^dag| = {dev:.3e} > atol + rtol * max|M| = {bound:.3e}")
     return M
 
 
@@ -95,9 +97,9 @@ def eig_hermitian(M, tol: Tolerance = DEFAULT_TOL):
 
 
 def is_psd(M, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix ``M`` has min eigenvalue >= -atol."""
+    """True iff the Hermitian ``M``'s eigenvalues are all >= -tol.bound(max|w|)."""
     w, _ = eig_hermitian(M, tol)
-    return bool(w[0] >= -tol.atol)
+    return bool(w[0] >= -tol.bound(max(-w[0], w[-1])))
 
 
 def min_eigenvalue(M, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -111,17 +113,18 @@ def svd_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s > tol.atol + tol.rtol * s[0]))
+    return int(np.sum(s > tol.bound(s[0])))
 
 
 def pseudo_inverse(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian PSD matrix.
 
-    Eigenvalues above ``atol`` are inverted, the rest are zeroed.
+    Eigenvalues above ``atol`` are inverted, the rest are zeroed; one below
+    ``-tol.bound(max|w|)`` (largest eigenvalue modulus) raises ``NotPsd``.
     """
     w, V = eig_hermitian(M, tol)
-    if w[0] < -tol.atol:
-        raise NotPsd(f"min eigenvalue {w[0]:.3e} < -atol")
+    if w[0] < -tol.bound(max(-w[0], w[-1])):
+        raise NotPsd(f"min eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|)")
     inv = np.where(w > tol.atol, 1.0 / np.where(w > tol.atol, w, 1.0), 0.0)
     return (V * inv) @ V.conj().T
 

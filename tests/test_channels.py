@@ -8,9 +8,10 @@ from choiscope.channels import (Channel, apply, choi_to_kraus,
                                 superop_hs_inner, tensor_channels,
                                 transpose_channel, transpose_conjugations,
                                 validate)
-from choiscope.errors import NotCompletelyPositive, ShapeMismatch
+from choiscope.errors import (DimensionMismatch, NotCompletelyPositive,
+                              ShapeMismatch)
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
-                                  random_state)
+                                  random_state, swap_channel)
 from choiscope.numerics import hs_inner, min_eigenvalue
 from choiscope.reshape import (BipartiteShape, partial_trace_A,
                                partial_trace_B, realign, swap_operator,
@@ -208,3 +209,13 @@ def test_validate_trace_nonincreasing():
     rep = validate(sub)
     assert rep.trace_nonincreasing and not rep.trace_preserving
     assert rep.completely_positive
+
+
+def test_tensor_channels_names_each_dimension_mismatch():
+    # two square maps of dimensions 4 and 2
+    with pytest.raises(DimensionMismatch, match="requires equal subsystem dimensions"):
+        tensor_channels(swap_channel(2), random_cp_channel(2, 2, 0))
+    for phi, psi in [(random_cp_channel(2, 3, 0), random_cp_channel(3, 3, 0)),
+                     (random_cp_channel(2, 2, 0), random_cp_channel(2, 3, 0))]:
+        with pytest.raises(DimensionMismatch, match="requires square channels"):
+            tensor_channels(phi, psi)

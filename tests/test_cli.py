@@ -361,3 +361,31 @@ def test_inspect_kraus_channel_reads_cp_without_spectrum_noise(tmp_path):
     report = json.loads(text)
     assert report["completely_positive"] is True
     assert report["min_choi_eigenvalue"] == 0
+
+
+def test_large_entry_fixture_is_the_large_kraus_set():
+    from choiscope.serialization import dump_channel
+    text = dump_channel(Channel.from_kraus(large_kraus_set(18)), "kraus")
+    assert (FIXTURES / "large_kraus18.json").read_text(encoding="utf-8") == text
+
+
+def test_inspect_large_entry_map_is_valid(tmp_path):
+    # entries ~1e7: the Choi matrix's Hermitian gap (7.5e-9) is above atol
+    code, text = run(tmp_path, "inspect", str(FIXTURES / "large_kraus18.json"))
+    assert code == EXIT_OK
+    report = json.loads(text)
+    assert report["hermiticity_preserving"] is True
+    assert report["completely_positive"] is True
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_inspect_large_pure_state_is_psd(tmp_path, seed):
+    # 1e8 |psi><psi|: its null eigenvalues round to about -3e-9
+    from choiscope.generators import random_state
+    from choiscope.serialization import dump_state
+    psi = np.linalg.eigh(random_state(4, seed))[1][:, -1]
+    src = tmp_path / "large.json"
+    src.write_text(dump_state(1e8 * np.outer(psi, psi.conj()), (2, 2)), encoding="utf-8")
+    code, text = run(tmp_path, "inspect", str(src))
+    assert code == EXIT_OK
+    assert json.loads(text)["positive_semidefinite"] is True
