@@ -33,7 +33,8 @@ from .channels import Channel, _kraus_stack
 from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NonFinite, NotAState, NotCompletelyPositive,
                      ShapeMismatch, ZeroMatrix)
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, check_hermitian
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, check_hermitian,
+                       range_mask)
 from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
                       tensor, tensor_vectors)
 
@@ -134,10 +135,11 @@ def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None):
     return rho, (w, V)
 
 
-def _range(rho: np.ndarray, atol: float, eig=None):
-    """Eigenvalues above ``atol`` and eigenvectors of rho, or of eig = eigh(rho)."""
+def _range(rho: np.ndarray, tol: Tolerance, eig=None):
+    """The :func:`~choiscope.numerics.range_mask` eigenvalues and eigenvectors
+    of rho, or of eig = eigh(rho)."""
     w, V = np.linalg.eigh(rho) if eig is None else eig
-    keep = w > atol
+    keep = range_mask(w, tol)
     return w[keep], V[:, keep]
 
 
@@ -175,7 +177,7 @@ def max_lambda(rho, psi, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     rho, eig = _check_state(rho, tol)
     psi = _unit_vector(psi, rho.shape[0])
-    return _max_lambda_raw(_range(rho, tol.atol, eig), psi)
+    return _max_lambda_raw(_range(rho, tol, eig), psi)
 
 
 def max_lambda_bisection(rho, psi, iterations: int = 60,
@@ -217,10 +219,10 @@ def max_pair(rho, psi1, psi2, tol: Tolerance = DEFAULT_TOL):
     if abs(np.vdot(psi1, psi2)) ** 2 > 1.0 - 1e-12:
         raise ValueError("max_pair requires two distinct projectors")
     return _max_pair_raw(rho, eig, psi1, psi2, np.outer(psi1, psi1.conj()),
-                         np.outer(psi2, psi2.conj()), tol.atol)
+                         np.outer(psi2, psi2.conj()), tol)
 
 
-def _max_pair_raw(rho, eig, psi1, psi2, P1, P2, atol):
+def _max_pair_raw(rho, eig, psi1, psi2, P1, P2, tol: Tolerance):
     """max l1 + l2 with rho - l1*P1 - l2*P2 PSD; psi1, psi2 unit, eig = eigh(rho).
 
     On range(rho) the constraint is a 2x2 condition on a = <1|rho^+|1>,
@@ -232,7 +234,7 @@ def _max_pair_raw(rho, eig, psi1, psi2, P1, P2, atol):
     min(0, that of rho) - atol: an ascent residual may sit slightly
     below zero where P1 and P2 do not reach.
     """
-    w, cols = _range(rho, atol, eig)
+    w, cols = _range(rho, tol, eig)
     c1 = cols.conj().T @ psi1
     c2 = cols.conj().T @ psi2
     in1 = 1.0 - float(np.sum(np.abs(c1) ** 2)) <= RANGE_TOL
@@ -248,7 +250,7 @@ def _max_pair_raw(rho, eig, psi1, psi2, P1, P2, atol):
     d = a * b - c * c
     if in1 and in2 and d > 1e-300 and a > c and b > c:
         l1, l2 = (b - c) / d, (a - c) / d
-        floor = min(0.0, float(eig[0][0])) - atol
+        floor = min(0.0, float(eig[0][0])) - tol.atol
         if np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] >= floor:
             points.append((l1, l2))
     return max(points, key=sum)
@@ -372,7 +374,7 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     rho, eig = _check_state(rho, tol)
     if rho.shape != (shape.dim, shape.dim):
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
-    _, cols = _range(rho, tol.atol, eig)
+    _, cols = _range(rho, tol, eig)
     Pi = cols @ cols.conj().T
     if count > 0 and _product_free_certificate(cols, Pi, shape) is not None:
         return []
@@ -473,7 +475,7 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
     for sweep in range(max_sweeps):
         for a in range(len(V)):
             rho_a = delta + lambdas[a] * projs[a]
-            factor = _range(rho_a, tol.atol)
+            factor = _range(rho_a, tol)
             if vector_update and lambdas[a] > WEIGHTED_TERM:
                 improved = _improve_term(factor, V[a], shape)
                 if improved is not None:
@@ -502,7 +504,7 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
                     a, b = rng.choice(len(V), size=2, replace=False)
                 rho_ab = delta + lambdas[a] * projs[a] + lambdas[b] * projs[b]
                 l1, l2 = _max_pair_raw(rho_ab, np.linalg.eigh(rho_ab), vecs[a],
-                                       vecs[b], projs[a], projs[b], tol.atol)
+                                       vecs[b], projs[a], projs[b], tol)
                 if l1 + l2 > lambdas[a] + lambdas[b]:
                     delta = rho_ab - l1 * projs[a] - l2 * projs[b]
                     lambdas[a], lambdas[b] = l1, l2
@@ -601,7 +603,7 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     V = list(V)
     if any(pv.e.size * pv.f.size != rho.shape[0] for pv in V):
         raise ShapeMismatch(f"candidates must have the state's dimension {rho.shape[0]}")
-    _, cols = _range(rho, tol.atol, eig)
+    _, cols = _range(rho, tol, eig)
     Pi = cols @ cols.conj().T
     for pv in V:
         v = pv.vector
@@ -730,7 +732,7 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
         raise NotAState("bsa_state expects a normalized (trace-1) state")
-    return _bsa_state(rho, _range(rho, tol.atol, eig), shape, budget, seed, tol)
+    return _bsa_state(rho, _range(rho, tol, eig), shape, budget, seed, tol)
 
 
 def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
@@ -853,7 +855,7 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
         raise NotCompletelyPositive("zero map has no BSA")
     rho_E, eig = _check_state(E / trace, tol, trace)
     shape = BipartiteShape(n, n)
-    dec = _bsa_state(rho_E, _range(rho_E, tol.atol, eig), shape, budget, seed, tol)
+    dec = _bsa_state(rho_E, _range(rho_E, tol, eig), shape, budget, seed, tol)
     kraus = [np.sqrt(trace * lam) * tensor(devectorize(pv.e, d, d),
                                            devectorize(pv.f, d, d))
              for lam, pv in dec.terms]
@@ -873,9 +875,10 @@ def _verdict(D, bsa_part: Channel, ent_part: Channel, shape: BipartiteShape,
     Separable when the entangled remainder is numerically zero; entangled
     when ``lam`` is 0, so that the residual is the input itself, and its
     range, read from ``eig`` = eigh of the regrouped D, is one-dimensional
-    and spanned by a non-product vector; inconclusive otherwise.  For
-    ``lam > 0`` a rank-one entangled residual proves nothing: a separable
-    input can split into a separable part and an entangled pure residual.
+    (:func:`~choiscope.numerics.range_mask`) and spanned by a non-product
+    vector; inconclusive otherwise.  For ``lam > 0`` a rank-one entangled
+    residual proves nothing: a separable input can split into a separable
+    part and an entangled pure residual.
     """
     norm_D = float(np.linalg.norm(D))
     norm_ent = float(np.linalg.norm(ent_part.choi))
@@ -883,7 +886,7 @@ def _verdict(D, bsa_part: Channel, ent_part: Channel, shape: BipartiteShape,
         return SeparabilityVerdict("separable",
                                    witness_kraus=tuple(bsa_part.kraus or ()))
     w, V = eig
-    entangled = (lam == 0.0 and np.sum(w > 1e-8 * max(w[-1], 1.0)) == 1
+    entangled = (lam == 0.0 and np.sum(range_mask(w, tol)) == 1
                  and _schmidt_factors(V[:, -1], shape, tol) is None)
     return SeparabilityVerdict("entangled" if entangled else "inconclusive",
                                ent_fraction=norm_ent / norm_D)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NonFinite, NotCompletelyPositive,
                      ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eig_hermitian,
-                       hermitian_gap, hs_inner)
+                       hermitian_gap, hs_inner, range_mask)
 from .reshape import (BipartiteShape, _blocks, devectorize, flip, flip_col,
                       flip_row, partial_trace_B, realign, realign_inverse,
                       swap_operator, tensor, vectorize)
@@ -110,9 +110,9 @@ def choi_to_kraus(D: np.ndarray, d_in: int, d_out: int,
                   tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Kraus operators from the eigendecomposition of a PSD Choi matrix.
 
-    Eigenvalues at or below atol are discarded.  One below
-    ``-tol.bound(max|w|)``, with ``max|w|`` the largest eigenvalue
-    modulus, means the map is not CP and raises.
+    Eigenvalues at or below ``tol.bound(max|w|)``, with ``max|w|`` the
+    largest eigenvalue modulus, are discarded (:func:`range_mask`); one
+    below ``-tol.bound(max|w|)`` means the map is not CP and raises.
     """
     w, V = eig_hermitian(D, tol)
     floor = tol.bound(max(-w[0], w[-1]))
@@ -122,7 +122,7 @@ def choi_to_kraus(D: np.ndarray, d_in: int, d_out: int,
     if w.size != d_out * d_in:
         raise ShapeMismatch(
             f"vector of length {w.size} cannot fill a {d_out}x{d_in} matrix")
-    keep = np.flatnonzero(w > tol.atol)[::-1]  # largest eigenvalue first
+    keep = np.flatnonzero(range_mask(w, tol))[::-1]  # largest eigenvalue first
     if not keep.size:
         return [np.zeros((d_out, d_in), dtype=complex)]
     # column j of cols is vectorize(G_j); devectorize them all in one reshape
@@ -316,45 +316,50 @@ def mix(coeffs: Sequence[float], channels: Sequence[Channel]) -> Channel:
 
 
 def tensor_channels(phi: Channel, psi: Channel) -> Channel:
-    """Product channel phi (x) psi on two identical N-dimensional systems.
+    """Product channel phi (x) psi, phi acting on the fastest (A) factor.
 
-    ``L = (I(x)S(x)I)(L_phi (x) L_psi)(I(x)S(x)I)``, written by one
-    broadcast product of the factors' entries straight into the
-    middle-swapped layout (:func:`_middle_swapped_product`).  The
-    realignment commutes with that product, so ``D`` is the same
-    broadcast of the factors' Choi matrices; this relies on each
-    factor's ``choi`` being the realignment of its ``liouville``, the
-    ``Channel`` invariant.  Kraus operators, when both factors carry
-    them, are the pairwise type-I tensors, built in one broadcast over
-    the stacked operators.
+    For a d1 -> d1' map phi and a d2 -> d2' map psi the product maps
+    d1 d2 to d1' d2' dimensions, and
+    ``L = (I(x)S(x)I)(L_phi (x) L_psi)(I(x)S(x)I)`` with the swaps on the
+    factors' shaped axes, written by one broadcast product of the
+    factors' entries straight into the middle-swapped layout
+    (:func:`_middle_swapped_product`).  The realignment commutes with
+    that product, so ``D`` is the same broadcast of the factors' Choi
+    matrices; this relies on each factor's ``choi`` being the realignment
+    of its ``liouville``, the ``Channel`` invariant.  Kraus operators,
+    when both factors carry them, are the pairwise type-I tensors, built
+    in one broadcast over the stacked operators.
     """
-    N = phi.d_in
-    if phi.d_out != N or psi.d_out != psi.d_in:
-        raise DimensionMismatch("tensor_channels requires square channels")
-    if psi.d_in != N:
-        raise DimensionMismatch("tensor_channels requires equal subsystem dimensions")
-    L = _middle_swapped_product(psi.liouville, phi.liouville, N)
-    D = _middle_swapped_product(psi.choi, phi.choi, N)
+    L = _middle_swapped_product(psi.liouville, phi.liouville,
+                                (psi.d_out, psi.d_out, psi.d_in, psi.d_in),
+                                (phi.d_out, phi.d_out, phi.d_in, phi.d_in))
+    D = _middle_swapped_product(psi.choi, phi.choi,
+                                (psi.d_in, psi.d_out, psi.d_in, psi.d_out),
+                                (phi.d_in, phi.d_out, phi.d_in, phi.d_out))
+    d_in, d_out = phi.d_in * psi.d_in, phi.d_out * psi.d_out
     kraus = None
     if phi.kraus is not None and psi.kraus is not None:
         G = _kraus_stack(phi.kraus)
         H = _kraus_stack(psi.kraus)
         # tensor(G_i, H_j)[(h, g), (h', g')] = H_j[h, h'] * G_i[g, g']
         pairs = H[None, :, :, None, :, None] * G[:, None, None, :, None, :]
-        kraus = tuple(pairs.reshape(-1, N * N, N * N))
-    return Channel(L, N * N, N * N, D, kraus=kraus)
+        kraus = tuple(pairs.reshape(-1, d_out, d_in))
+    return Channel(L, d_in, d_out, D, kraus=kraus)
 
 
-def _middle_swapped_product(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
-    """``P kron(X, Y) P`` with ``P = middle_swap(N)``, for N^2-square X, Y.
+def _middle_swapped_product(X: np.ndarray, Y: np.ndarray, x_dims, y_dims) -> np.ndarray:
+    """``P kron(X, Y) Q`` with P, Q the middle swaps of the factors' axes.
 
+    ``x_dims = (a1, a0, c1, c0)`` are the sizes of X's row pair (a1, a0)
+    and column pair (c1, c0), ``y_dims = (b1, b0, d1, d0)`` those of Y.
     Entry ``[(a1,b1,a0,b0), (c1,d1,c0,d0)]`` is
     ``X[(a1,a0), (c1,c0)] * Y[(b1,b0), (d1,d0)]``, the same single
     product as in the kron, written once into the output.
     """
-    out = np.multiply(X.reshape(N, 1, N, 1, N, 1, N, 1),
-                      Y.reshape(1, N, 1, N, 1, N, 1, N), dtype=complex)
-    return out.reshape(N ** 4, N ** 4)
+    x_axes = [n for size in x_dims for n in (size, 1)]
+    y_axes = [n for size in y_dims for n in (1, size)]
+    out = np.multiply(X.reshape(x_axes), Y.reshape(y_axes), dtype=complex)
+    return out.reshape(x_dims[0] * x_dims[1] * y_dims[0] * y_dims[1], -1)
 
 
 def transpose_conjugations(channel: Channel, mode: str) -> Channel:

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import os
 import sys
 import time
 
@@ -35,17 +34,9 @@ EXIT_INVALID = 2
 
 
 def _tolerance(args) -> Tolerance:
-    tol = getattr(args, "tol", None)
-    source = "--tol"
-    if tol is None:
-        env = os.environ.get("CHOISCOPE_TOL")
-        source = "CHOISCOPE_TOL"
-        try:
-            tol = float(env) if env else DEFAULT_TOL.atol
-        except ValueError:
-            raise ParseError(f"{source} is not a number: {env!r}") from None
+    tol = args.tol
     if not (np.isfinite(tol) and tol > 0):
-        raise ParseError(f"{source} must be positive and finite, got {tol!r}")
+        raise ParseError(f"--tol must be positive and finite, got {tol!r}")
     return Tolerance(atol=tol, rtol=tol)
 
 
@@ -202,17 +193,25 @@ def cmd_combine(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and, through ``add_subparsers``, subparser) whose
+    usage errors raise ``ParseError``, so they exit 1 like any parse failure."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process (it holds no per-call state)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="choiscope",
         description="Calculus of quantum operations as matrices.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, seed=False, budget=False):
-        p.add_argument("--tol", type=float, default=None,
-                       help="numerical tolerance (default: CHOISCOPE_TOL or 1e-9)")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL.atol,
+                       help="numerical tolerance, atol and rtol (default: 1e-9)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if seed:
             p.add_argument("--seed", type=int, default=None)
@@ -258,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

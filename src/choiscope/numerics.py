@@ -1,9 +1,9 @@
 """Dense complex matrix substrate.
 
-Hermitian eigendecomposition, SVD rank, PSD tests, pseudo-inverse and the
-Hilbert-Schmidt inner product.  Everything downstream is built on these
-few primitives, all of them thin, validated wrappers around LAPACK via
-numpy.
+Hermitian eigendecomposition, the range (eigenvalue keep) test, SVD rank,
+PSD tests, pseudo-inverse and the Hilbert-Schmidt inner product.
+Everything downstream is built on these few primitives, all of them thin,
+validated wrappers around LAPACK via numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from .errors import NonFinite, NotHermitian, NotPsd, ShapeMismatch
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute/relative tolerance pair: every Hermitian, PSD, CP and rank check
-    allows ``bound(scale) = atol + rtol * scale`` of its matrix's scale."""
+    allows ``bound(scale) = atol + rtol * scale`` of its matrix's scale, and
+    :func:`range_mask` keeps the eigenvalues above it."""
 
     atol: float = 1e-9
     rtol: float = 1e-9
@@ -107,6 +108,12 @@ def min_eigenvalue(M, tol: Tolerance = DEFAULT_TOL) -> float:
     return float(w[0])
 
 
+def range_mask(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Mask of the ascending eigenvalues ``w`` that span the range: those
+    above ``tol.bound(max|w|)``.  The library's one eigenvalue keep-test."""
+    return w > tol.bound(max(-w[0], w[-1]))
+
+
 def svd_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above ``atol + rtol * sigma_max``."""
     M = as_matrix(M)
@@ -119,13 +126,15 @@ def svd_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
 def pseudo_inverse(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian PSD matrix.
 
-    Eigenvalues above ``atol`` are inverted, the rest are zeroed; one below
-    ``-tol.bound(max|w|)`` (largest eigenvalue modulus) raises ``NotPsd``.
+    Eigenvalues above ``tol.bound(max|w|)`` (largest eigenvalue modulus)
+    are inverted (:func:`range_mask`), the rest are zeroed; one below
+    ``-tol.bound(max|w|)`` raises ``NotPsd``.
     """
     w, V = eig_hermitian(M, tol)
     if w[0] < -tol.bound(max(-w[0], w[-1])):
         raise NotPsd(f"min eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|)")
-    inv = np.where(w > tol.atol, 1.0 / np.where(w > tol.atol, w, 1.0), 0.0)
+    keep = range_mask(w, tol)
+    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     return (V * inv) @ V.conj().T
 
 

@@ -132,7 +132,7 @@ def choi_to_kraus_loop(D, d_in: int, d_out: int,
             f"Choi matrix has eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|) = {-floor:.3e}")
     ops = []
     for k in range(w.size - 1, -1, -1):
-        if w[k] > tol.atol:
+        if w[k] > floor:
             ops.append(devectorize(np.sqrt(w[k]) * V[:, k], d_out, d_in))
     if not ops:
         ops.append(np.zeros((d_out, d_in), dtype=complex))

@@ -11,6 +11,7 @@ import pytest
 
 from choiscope.bsa import (ProductVector, _improve_term, _range, max_lambda_bisection,
                            max_pair)
+from choiscope.numerics import Tolerance
 from choiscope.reshape import BipartiteShape
 
 from conftest import random_complex, random_density
@@ -26,7 +27,7 @@ def test_improve_term_matches_single_vector_loop(d_A, d_B, full_rank, seed):
     rank = shape.dim if full_rank else shape.dim // 2
     rho_a = random_density(rng, shape.dim, rank)
     pv = ProductVector(random_complex(rng, d_A), random_complex(rng, d_B))
-    got = _improve_term(_range(rho_a, 1e-9), pv, shape)
+    got = _improve_term(_range(rho_a, Tolerance(1e-9, 1e-9)), pv, shape)
     e, f = reference_improve_term(rho_a, pv.e, pv.f, shape)
     assert np.max(np.abs(got.projector - ProductVector(e, f).projector)) < 1e-12
 
@@ -34,7 +35,7 @@ def test_improve_term_matches_single_vector_loop(d_A, d_B, full_rank, seed):
 def test_improve_term_on_zero_residual():
     shape = BipartiteShape(2, 2)
     pv = ProductVector(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert _improve_term(_range(np.zeros((4, 4)), 1e-9), pv, shape) is None
+    assert _improve_term(_range(np.zeros((4, 4)), Tolerance(1e-9, 1e-9)), pv, shape) is None
     assert reference_improve_term(np.zeros((4, 4)), pv.e, pv.f, shape) is None
 
 

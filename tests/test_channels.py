@@ -8,8 +8,7 @@ from choiscope.channels import (Channel, apply, choi_to_kraus,
                                 superop_hs_inner, tensor_channels,
                                 transpose_channel, transpose_conjugations,
                                 validate)
-from choiscope.errors import (DimensionMismatch, NotCompletelyPositive,
-                              ShapeMismatch)
+from choiscope.errors import NotCompletelyPositive, ShapeMismatch
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
                                   random_state, swap_channel)
 from choiscope.numerics import hs_inner, min_eigenvalue
@@ -211,11 +210,19 @@ def test_validate_trace_nonincreasing():
     assert rep.completely_positive
 
 
-def test_tensor_channels_names_each_dimension_mismatch():
-    # two square maps of dimensions 4 and 2
-    with pytest.raises(DimensionMismatch, match="requires equal subsystem dimensions"):
-        tensor_channels(swap_channel(2), random_cp_channel(2, 2, 0))
-    for phi, psi in [(random_cp_channel(2, 3, 0), random_cp_channel(3, 3, 0)),
-                     (random_cp_channel(2, 2, 0), random_cp_channel(2, 3, 0))]:
-        with pytest.raises(DimensionMismatch, match="requires square channels"):
-            tensor_channels(phi, psi)
+def test_tensor_channels_of_any_two_channels():
+    # (2->3)(x)(3->2), (2->5)(x)(1->3), and square maps of dimensions 4 and 2
+    pairs = [(random_cp_channel(2, 3, 0), random_cp_channel(3, 2, 1)),
+             (random_cp_channel(2, 5, 2), random_cp_channel(1, 3, 3)),
+             (swap_channel(2), random_cp_channel(2, 2, 0))]
+    for k, (phi, psi) in enumerate(pairs):
+        product = tensor_channels(phi, psi)
+        assert (product.d_in, product.d_out) == (phi.d_in * psi.d_in,
+                                                 phi.d_out * psi.d_out)
+        rho_a, rho_b = random_state(phi.d_in, k), random_state(psi.d_in, 10 + k)
+        want = tensor(apply(phi, rho_a), apply(psi, rho_b))
+        for route in ("kraus", "liouville", "choi"):
+            got = apply(product, tensor(rho_a, rho_b), route=route)
+            assert np.max(np.abs(got - want)) < 1e-14, (k, route)
+        report = validate(product)
+        assert report.trace_preserving and report.completely_positive, k

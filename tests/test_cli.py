@@ -265,21 +265,19 @@ def test_exit_code_io_errors(tmp_path, capsys):
 
 
 def test_env_tolerance_override(tmp_path, monkeypatch):
-    # a slightly negative state: invalid at tight tolerance, valid at loose
+    # a slightly negative state: invalid at tight tolerance, valid at loose;
+    # --tol is the only way to set it, the environment is not read
     from choiscope.serialization import dump_state
     rho = np.diag([0.5 + 2.5e-7, 0.5, -5e-7, 0.0]).astype(complex)
     src = tmp_path / "state.json"
     src.write_text(dump_state(rho, (2, 2)), encoding="utf-8")
-    monkeypatch.setenv("CHOISCOPE_TOL", "1e-9")
-    code, _ = run(tmp_path, "inspect", str(src), name="a.json")
-    assert code == EXIT_INVALID
     monkeypatch.setenv("CHOISCOPE_TOL", "1e-5")
-    code, _ = run(tmp_path, "inspect", str(src), name="b.json")
-    assert code == EXIT_OK
-    monkeypatch.delenv("CHOISCOPE_TOL")
-    code, _ = run(tmp_path, "inspect", str(src), "--tol", "1e-4",
-                  name="c.json")
-    assert code == EXIT_OK
+    code, _ = run(tmp_path, "inspect", str(src), name="default.json")
+    assert code == EXIT_INVALID
+    for tol, want, name in [("1e-9", EXIT_INVALID, "a.json"), ("1e-5", EXIT_OK, "b.json"),
+                            ("1e-4", EXIT_OK, "c.json")]:
+        code, _ = run(tmp_path, "inspect", str(src), "--tol", tol, name=name)
+        assert code == want, tol
 
 
 def test_inspect_reports_non_hermitian_state(tmp_path):
@@ -310,11 +308,31 @@ def test_bsa_rejects_bad_budget_and_tol(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "abc"])
-def test_bad_env_tolerance_is_parse_error(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("CHOISCOPE_TOL", value)
-    code, text = run(tmp_path, "inspect", str(FIXTURES / "maxmixed.json"))
+def test_bad_env_tolerance_is_parse_error(tmp_path, value):
+    code, text = run(tmp_path, "inspect", str(FIXTURES / "maxmixed.json"), f"--tol={value}")
     assert code == EXIT_IO
     assert text is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["bsa", str(FIXTURES / "maxmixed.json"), "--seed", "abc"],
+    ["inspect", str(FIXTURES / "maxmixed.json"), "--tol", "abc"],
+    ["convert", str(FIXTURES / "identity2.json"), "nosuch"],
+    ["nosuch", str(FIXTURES / "identity2.json")],
+    [],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["bsa", "--help"])
+    assert done.value.code == 0
+    assert "--tol" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("entry", ["true", "NaN", "Infinity"])

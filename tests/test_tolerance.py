@@ -4,14 +4,16 @@ The rounding of a Hermitian gap or of a null eigenvalue grows with the
 matrix's entries, so a check with an absolute bound calls a valid map
 with large entries invalid.  Each check reads ``atol + rtol * scale``
 with the matrix's own scale, so scaling a CP map by ``c > 0`` keeps its
-verdicts.
+verdicts.  The rank cuts (the BSA's range, the Kraus operators of a Choi
+matrix and the inverted eigenvalues of a pseudo-inverse) keep the
+eigenvalues above the same bound, so they keep no rounding noise.
 """
 
 import numpy as np
 import pytest
 
-from choiscope.bsa import bsa_operation
-from choiscope.channels import Channel, validate
+from choiscope.bsa import _range, bsa_operation
+from choiscope.channels import Channel, choi_to_kraus, validate
 from choiscope.errors import NotPsd
 from choiscope.generators import random_cp_channel, random_state
 from choiscope.numerics import Tolerance, is_psd, pseudo_inverse
@@ -100,3 +102,24 @@ def test_bsa_operation_tests_hermiticity_once(monkeypatch):
     monkeypatch.setattr(bsa, "hermitian_gap", counting_gap, raising=False)
     bsa_operation(random_cp_channel(4, 4, 0, kraus_count=2), 2, budget=3, seed=0)
     assert calls == [(16, 16)]
+
+
+def test_choi_to_kraus_keeps_no_noise_operators():
+    # two operators of scale 1e3: D's null eigenvalues round to up to 6e-9, above atol
+    D = Channel.from_kraus(large_kraus_set(2)).choi
+    assert len(choi_to_kraus(D, 4, 4)) == 2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pseudo_inverse_inverts_no_rounding_noise(seed):
+    psi = np.linalg.eigh(random_state(4, seed))[1][:, -1]
+    P = np.outer(psi, psi.conj())
+    assert np.max(np.abs(pseudo_inverse(1e8 * P) - 1e-8 * P)) <= 1e-20
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("seed", range(10))
+def test_range_rank_is_scale_invariant(seed, c):
+    rho = c * random_state(4, seed, rank=2)
+    w, cols = _range(rho, Tolerance())
+    assert w.size == cols.shape[1] == 2
