@@ -23,8 +23,9 @@ from .errors import (CandidateOutsideRange, ChoiscopeError,
 from .generators import (depolarizing_channel, random_cp_channel,
                          random_state, random_product_mixture,
                          swap_channel, werner_state)
-from .numerics import (DEFAULT_TOL, Tolerance, frobenius_norm, hs_inner,
-                       is_psd, min_eigenvalue, pseudo_inverse, svd_rank)
+from .numerics import (DEFAULT_TOL, StateReport, Tolerance, frobenius_norm,
+                       hs_inner, is_psd, min_eigenvalue, pseudo_inverse,
+                       svd_rank, validate_state)
 from .reshape import (BipartiteShape, devectorize, flip, middle_swap,
                       partial_trace_A, partial_trace_B, partial_transpose,
                       product_factorize, realign, realign_inverse,

@@ -60,6 +60,10 @@ PAIR_CAP = 500
 # Refinement rounds of bsa_state: the cap, and the least gain over three.
 MAX_ROUNDS = 12
 STALL_TOL = 1e-5
+# |D - D_sep| / |D| of a "separable" verdict: the BSA's own tolerances set it, not --tol
+SEPARABLE_REMAINDER = 1e-6
+# |tr rho - 1| bsa_state allows: a unit target has no scale, and --tol bounds rounding
+UNIT_TRACE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,8 @@ def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None):
     """The Hermitian part of a valid BSA input and its one ``eigh`` pair; with
     ``choi_trace`` the input is a map's regrouped Choi matrix over that trace,
     a Hermitian gap raises ``NotCompletelyPositive`` and the CP floor, in the
-    map's scale, is checked first.  Each check allows ``bound`` of its scale,
-    with an atol of at least ``-RESIDUAL_MIN_EIG``."""
+    map's scale, is checked first.  Each check is :meth:`Tolerance.allows_gap`
+    or :meth:`Tolerance.psd_floor`, with an atol of at least ``-RESIDUAL_MIN_EIG``."""
     input_tol = Tolerance(atol=max(-RESIDUAL_MIN_EIG, tol.atol), rtol=tol.rtol)
     try:
         rho = check_hermitian(rho, input_tol)
@@ -127,10 +131,9 @@ def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None):
     # eigh reads one triangle; the Hermitian part makes rho and rho^dag agree
     rho = (rho + rho.conj().T) / 2.0
     w, V = np.linalg.eigh(rho)
-    scale = max(-w[0], w[-1])
-    if choi_trace is not None and choi_trace * w[0] < -tol.bound(choi_trace * scale):
+    if choi_trace is not None and choi_trace * w[0] < tol.psd_floor(choi_trace * w):
         raise NotCompletelyPositive("bsa_operation requires a CP map")
-    if w[0] < -input_tol.bound(scale):
+    if w[0] < input_tol.psd_floor(w):
         raise NotAState(f"min eigenvalue {w[0]:.3e} below feasibility tolerance")
     return rho, (w, V)
 
@@ -629,7 +632,7 @@ def _schmidt_factors(v: np.ndarray, shape: BipartiteShape, tol: Tolerance):
     """(e, f) if the bipartite vector is a product, else None."""
     M = np.asarray(v, dtype=complex).reshape(shape.d_B, shape.d_A).T  # M[m, u]
     U, s, Vh = np.linalg.svd(M)
-    if s.size > 1 and s[1] > tol.bound(s[0]):
+    if tol.rank(s) > 1:
         return None
     # M = outer(e, f) = e f^T; numpy's Vh row is already f up to phase
     return U[:, 0], Vh[0, :]
@@ -730,7 +733,7 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
     rho, eig = _check_state(rho, tol)
     if rho.shape != (shape.dim, shape.dim):
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
-    if abs(np.trace(rho).real - 1.0) > 1e-6:
+    if abs(np.trace(rho).real - 1.0) > UNIT_TRACE_TOL:
         raise NotAState("bsa_state expects a normalized (trace-1) state")
     return _bsa_state(rho, _range(rho, tol, eig), shape, budget, seed, tol)
 
@@ -882,7 +885,7 @@ def _verdict(D, bsa_part: Channel, ent_part: Channel, shape: BipartiteShape,
     """
     norm_D = float(np.linalg.norm(D))
     norm_ent = float(np.linalg.norm(ent_part.choi))
-    if norm_ent <= 1e-6 * norm_D:
+    if norm_ent <= SEPARABLE_REMAINDER * norm_D:
         return SeparabilityVerdict("separable",
                                    witness_kraus=tuple(bsa_part.kraus or ()))
     w, V = eig

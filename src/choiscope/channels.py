@@ -110,15 +110,14 @@ def choi_to_kraus(D: np.ndarray, d_in: int, d_out: int,
                   tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Kraus operators from the eigendecomposition of a PSD Choi matrix.
 
-    Eigenvalues at or below ``tol.bound(max|w|)``, with ``max|w|`` the
-    largest eigenvalue modulus, are discarded (:func:`range_mask`); one
-    below ``-tol.bound(max|w|)`` means the map is not CP and raises.
+    Eigenvalues at or below ``-tol.psd_floor(w)`` are discarded
+    (:func:`range_mask`); one below :meth:`Tolerance.psd_floor` means the
+    map is not CP and raises.
     """
     w, V = eig_hermitian(D, tol)
-    floor = tol.bound(max(-w[0], w[-1]))
-    if w[0] < -floor:
+    if w[0] < (floor := tol.psd_floor(w)):
         raise NotCompletelyPositive(
-            f"Choi matrix has eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|) = {-floor:.3e}")
+            f"Choi matrix has eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|) = {floor:.3e}")
     if w.size != d_out * d_in:
         raise ShapeMismatch(
             f"vector of length {w.size} cannot fill a {d_out}x{d_in} matrix")
@@ -136,8 +135,8 @@ class Channel:
 
     The Choi matrix is computed eagerly so instances are immutable and
     freely shareable; ``choi`` is the realignment of ``liouville`` (the
-    index permutation of ``liouville_to_choi``), and ``tensor_channels``
-    and ``validate`` rely on this without checking it.  ``kraus`` is kept
+    index permutation of ``liouville_to_choi``), and ``validate`` relies
+    on this without checking it.  ``kraus`` is kept
     when the channel was built from (or converted to) an operator-sum
     form, and when set it is an operator-sum form of ``liouville`` and
     ``choi``: ``D = sum_j vec(G_j) vec(G_j)^dag``.  ``apply``,
@@ -240,12 +239,12 @@ class ValidationReport:
 def validate(channel: Channel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Diagnose the channel; never raises, the report carries the findings.
 
-    The Hermitian gap of ``D`` may reach ``tol.bound(max|D|)``, ``max|D|``
-    read only past atol as in ``check_hermitian``, and its least eigenvalue
-    ``-tol.bound(max|w|)``.  A channel carrying r < n = d_out * d_in Kraus
-    operators has ``D = K K^dag`` with r columns, PSD and singular, so its
-    least eigenvalue is exactly 0 with no decomposition; every other channel
-    takes the spectrum of the Hermitian part of ``D``.  The hermiticity and
+    The Hermitian gap of ``D``, taken once, is judged by
+    :meth:`Tolerance.allows_gap` and its least eigenvalue by
+    :meth:`Tolerance.psd_floor`.  A channel carrying r < n = d_out * d_in
+    Kraus operators has ``D = K K^dag`` with r columns, PSD and singular,
+    so its least eigenvalue is exactly 0 with no decomposition; every
+    other channel takes the spectrum of the Hermitian part of ``D``.  The hermiticity and
     trace checks read ``D`` alone: ``D`` is the realignment of ``L``, so
     ``conj(tr_A D)`` is the dual map's image of the identity
     (``sum_j G_j^dag G_j``), and ``L`` is never read.  A ``D`` with a NaN
@@ -256,20 +255,20 @@ def validate(channel: Channel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport
     D = channel.choi
     asymmetry = hermitian_gap(D)
     finite = bool(np.isfinite(asymmetry))
-    hermiticity = asymmetry <= tol.atol or asymmetry <= tol.bound(float(np.max(np.abs(D))))
+    hermiticity = tol.allows_gap(asymmetry, D)
     # partial_trace_A without its finiteness check, which would raise on a NaN
     tr_A = np.einsum("akbk->ab", _blocks(D, channel.choi_shape))
     trace_preserving = bool(np.max(np.abs(tr_A - np.eye(channel.d_in))) <= tol.atol)
     unital_image = tr_A.conj()
     gap = np.eye(channel.d_in) - (unital_image + unital_image.conj().T) / 2.0
     trace_nonincreasing = finite and bool(np.linalg.eigvalsh(gap)[0] >= -tol.atol)
-    min_eig, scale = float("nan"), 0.0  # scale: the largest |eigenvalue| of D
+    w = np.full(1, np.nan)  # D's ascending spectrum, as far as the CP check reads it
     if finite and channel.kraus is not None and len(channel.kraus) < D.shape[0]:
-        min_eig = 0.0
+        w = np.zeros(1)
     elif finite:
         w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
-        min_eig, scale = float(w[0]), max(-w[0], w[-1])
-    completely_positive = hermiticity and min_eig >= -tol.bound(scale)
+    min_eig = float(w[0])
+    completely_positive = hermiticity and min_eig >= tol.psd_floor(w)
     return ValidationReport(
         hermiticity_preserving=hermiticity,
         trace_preserving=trace_preserving,
@@ -323,19 +322,13 @@ def tensor_channels(phi: Channel, psi: Channel) -> Channel:
     ``L = (I(x)S(x)I)(L_phi (x) L_psi)(I(x)S(x)I)`` with the swaps on the
     factors' shaped axes, written by one broadcast product of the
     factors' entries straight into the middle-swapped layout
-    (:func:`_middle_swapped_product`).  The realignment commutes with
-    that product, so ``D`` is the same broadcast of the factors' Choi
-    matrices; this relies on each factor's ``choi`` being the realignment
-    of its ``liouville``, the ``Channel`` invariant.  Kraus operators,
-    when both factors carry them, are the pairwise type-I tensors, built
-    in one broadcast over the stacked operators.
+    (:func:`_middle_swapped_product`); ``D`` is its realignment.  Kraus
+    operators, when both factors carry them, are the pairwise type-I
+    tensors, built in one broadcast over the stacked operators.
     """
     L = _middle_swapped_product(psi.liouville, phi.liouville,
                                 (psi.d_out, psi.d_out, psi.d_in, psi.d_in),
                                 (phi.d_out, phi.d_out, phi.d_in, phi.d_in))
-    D = _middle_swapped_product(psi.choi, phi.choi,
-                                (psi.d_in, psi.d_out, psi.d_in, psi.d_out),
-                                (phi.d_in, phi.d_out, phi.d_in, phi.d_out))
     d_in, d_out = phi.d_in * psi.d_in, phi.d_out * psi.d_out
     kraus = None
     if phi.kraus is not None and psi.kraus is not None:
@@ -344,7 +337,7 @@ def tensor_channels(phi: Channel, psi: Channel) -> Channel:
         # tensor(G_i, H_j)[(h, g), (h', g')] = H_j[h, h'] * G_i[g, g']
         pairs = H[None, :, :, None, :, None] * G[:, None, None, :, None, :]
         kraus = tuple(pairs.reshape(-1, d_out, d_in))
-    return Channel(L, d_in, d_out, D, kraus=kraus)
+    return Channel(L, d_in, d_out, liouville_to_choi(L, d_in, d_out), kraus=kraus)
 
 
 def _middle_swapped_product(X: np.ndarray, Y: np.ndarray, x_dims, y_dims) -> np.ndarray:

@@ -23,7 +23,7 @@ from .channels import compose, tensor_channels, validate
 from .errors import ChoiscopeError, NotAState, ParseError
 from .generators import (NAMED_CHANNELS, depolarizing_channel,
                          random_cp_channel, random_state)
-from .numerics import DEFAULT_TOL, Tolerance, check_hermitian, min_eigenvalue
+from .numerics import DEFAULT_TOL, Tolerance, min_eigenvalue, validate_state
 from .reshape import BipartiteShape
 
 REPORT_SCHEMA = "1"
@@ -83,27 +83,12 @@ def cmd_inspect(args) -> int:
         "dims": list(cf.dims),
     }
     if cf.kind == "state":
-        rho = cf.to_state()
-        ok = True
-        try:
-            check_hermitian(rho, tol)
-        except ChoiscopeError:
-            ok = False
-        # spectrum of the Hermitian part, so a non-Hermitian state is
-        # still reported (and exits 2 through ``ok``)
-        w = np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
-        psd = bool(w[0] >= -tol.bound(max(-w[0], w[-1])))
-        report.update({
-            "hermitian": ok,
-            "min_eigenvalue": float(w[0]),
-            "trace": float(np.trace(rho).real),
-            "positive_semidefinite": psd,
-        })
-        valid = ok and psd
+        rep = validate_state(cf.to_state(), tol)
+        valid = rep.hermitian and rep.positive_semidefinite
     else:
         rep = validate(cf.to_channel(), tol)
-        report.update(dataclasses.asdict(rep))
         valid = rep.completely_positive
+    report.update(dataclasses.asdict(rep))
     _write(args, ser.canonical_dumps(report))
     return EXIT_OK if valid else EXIT_INVALID
 

@@ -18,8 +18,8 @@ from .errors import NonFinite, NotHermitian, NotPsd, ShapeMismatch
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute/relative tolerance pair: every Hermitian, PSD, CP and rank check
-    allows ``bound(scale) = atol + rtol * scale`` of its matrix's scale, and
-    :func:`range_mask` keeps the eigenvalues above it."""
+    allows ``bound(scale) = atol + rtol * scale`` of its matrix's scale, through
+    :meth:`allows_gap`, :meth:`psd_floor`, :meth:`rank` and :func:`range_mask`."""
 
     atol: float = 1e-9
     rtol: float = 1e-9
@@ -32,6 +32,18 @@ class Tolerance:
 
     def bound(self, scale: float) -> float:
         return float(self.atol + self.rtol * scale)
+
+    def allows_gap(self, gap: float, M: np.ndarray) -> bool:
+        """``gap <= atol or gap <= bound(max|M|)``, reading max|M| only past atol; NaN fails."""
+        return bool(gap <= self.atol or gap <= self.bound(float(np.max(np.abs(M)))))
+
+    def psd_floor(self, w: np.ndarray) -> float:
+        """``-bound(max|w|)``, the least eigenvalue allowed of the ascending ``w``."""
+        return -self.bound(max(-w[0], w[-1]))
+
+    def rank(self, s: np.ndarray) -> int:
+        """Number of the descending singular values ``s`` above ``bound(s[0])``."""
+        return int(np.sum(s > self.bound(s[0])))
 
 
 DEFAULT_TOL = Tolerance()
@@ -52,19 +64,17 @@ def as_matrix(M) -> np.ndarray:
 
 
 def check_hermitian(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Return ``M`` if Hermitian within ``atol + rtol * max|M|``, else raise.
+    """Return ``M`` if :meth:`Tolerance.allows_gap` allows ``max|M - M^dag|``, else raise.
 
-    The rounding in ``max |M - M^dag|`` grows with the entries, so the
-    bound scales with the largest one, as :func:`svd_rank`'s does with the
-    largest singular value.
+    The gap's rounding grows with the entries, so the bound scales with
+    the largest one, as :meth:`Tolerance.rank`'s with the largest singular value.
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ShapeMismatch(f"matrix is {M.shape}, not square")
     dev = hermitian_gap(M)
-    # max|M| is read only when the gap passes the absolute part of the bound
-    if dev > tol.atol and dev > (bound := tol.bound(float(np.max(np.abs(M))))):
-        raise NotHermitian(f"max |M - M^dag| = {dev:.3e} > atol + rtol * max|M| = {bound:.3e}")
+    if not tol.allows_gap(dev, M):
+        raise NotHermitian(f"max |M - M^dag| = {dev:.3e} > atol + rtol * max|M|")
     return M
 
 
@@ -98,9 +108,9 @@ def eig_hermitian(M, tol: Tolerance = DEFAULT_TOL):
 
 
 def is_psd(M, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian ``M``'s eigenvalues are all >= -tol.bound(max|w|)."""
+    """True iff the Hermitian ``M``'s eigenvalues are all >= ``tol.psd_floor(w)``."""
     w, _ = eig_hermitian(M, tol)
-    return bool(w[0] >= -tol.bound(max(-w[0], w[-1])))
+    return bool(w[0] >= tol.psd_floor(w))
 
 
 def min_eigenvalue(M, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -108,19 +118,37 @@ def min_eigenvalue(M, tol: Tolerance = DEFAULT_TOL) -> float:
     return float(w[0])
 
 
+@dataclass(frozen=True)
+class StateReport:
+    hermitian: bool
+    min_eigenvalue: float
+    trace: float
+    positive_semidefinite: bool
+
+
+def validate_state(rho, tol: Tolerance = DEFAULT_TOL) -> StateReport:
+    """Report on a square matrix as a state, never raising on a failed check; the
+    spectrum is the Hermitian part's, so a non-Hermitian state is still reported."""
+    rho = as_matrix(rho)
+    if rho.shape[0] != rho.shape[1]:
+        raise ShapeMismatch(f"matrix is {rho.shape}, not square")
+    w = np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
+    return StateReport(hermitian=tol.allows_gap(hermitian_gap(rho), rho),
+                       min_eigenvalue=float(w[0]), trace=float(np.trace(rho).real),
+                       positive_semidefinite=bool(w[0] >= tol.psd_floor(w)))
+
+
 def range_mask(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Mask of the ascending eigenvalues ``w`` that span the range: those
-    above ``tol.bound(max|w|)``.  The library's one eigenvalue keep-test."""
-    return w > tol.bound(max(-w[0], w[-1]))
+    above ``-tol.psd_floor(w)``.  The library's one eigenvalue keep-test."""
+    return w > -tol.psd_floor(w)
 
 
 def svd_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above ``atol + rtol * sigma_max``."""
+    """Number of singular values above ``atol + rtol * sigma_max`` (:meth:`Tolerance.rank`)."""
     M = as_matrix(M)
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol.bound(s[0])))
+    return tol.rank(s) if s.size else 0
 
 
 def pseudo_inverse(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -128,10 +156,10 @@ def pseudo_inverse(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Eigenvalues above ``tol.bound(max|w|)`` (largest eigenvalue modulus)
     are inverted (:func:`range_mask`), the rest are zeroed; one below
-    ``-tol.bound(max|w|)`` raises ``NotPsd``.
+    ``tol.psd_floor(w)`` raises ``NotPsd``.
     """
     w, V = eig_hermitian(M, tol)
-    if w[0] < -tol.bound(max(-w[0], w[-1])):
+    if w[0] < tol.psd_floor(w):
         raise NotPsd(f"min eigenvalue {w[0]:.3e} < -(atol + rtol * max|w|)")
     keep = range_mask(w, tol)
     inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)

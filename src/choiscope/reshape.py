@@ -193,7 +193,7 @@ def product_factorize(Z, shape: BipartiteShape, tol: Tolerance = DEFAULT_TOL):
     if not np.any(np.abs(Z) > 0):
         raise ZeroMatrix("cannot factorize the zero matrix")
     U, s, Vh = np.linalg.svd(R)
-    if np.sum(s > tol.bound(s[0])) != 1:
+    if tol.rank(s) != 1:
         return None
     # R = |X>><<Y*|, so the leading right singular vector is vec(Y*).
     x = np.sqrt(s[0]) * U[:, 0]

@@ -11,11 +11,13 @@ from typing import Sequence
 
 import numpy as np
 
-from choiscope.channels import (Channel, ValidationReport, apply,
+from choiscope.channels import (Channel, ValidationReport,
+                                _middle_swapped_product, apply,
                                 tensor_channels)
-from choiscope.errors import NotCompletelyPositive, ParseError, ShapeMismatch
+from choiscope.errors import (ChoiscopeError, NotCompletelyPositive,
+                              ParseError, ShapeMismatch)
 from choiscope.numerics import (DEFAULT_TOL, Tolerance, as_matrix,
-                                eig_hermitian, hs_inner)
+                                check_hermitian, eig_hermitian, hs_inner)
 from choiscope.reshape import (BipartiteShape, devectorize, middle_swap,
                                partial_trace_A, realign, swap_operator, tensor,
                                tensor_vectors, vectorize)
@@ -137,6 +139,36 @@ def choi_to_kraus_loop(D, d_in: int, d_out: int,
     if not ops:
         ops.append(np.zeros((d_out, d_in), dtype=complex))
     return ops
+
+
+def tensor_choi_broadcast(phi: Channel, psi: Channel) -> np.ndarray:
+    """D of ``phi (x) psi`` as one broadcast of the factors' Choi matrices.
+
+    The realignment commutes with the middle-swapped product, so each
+    entry of D is the same single product of a ``psi.choi`` and a
+    ``phi.choi`` entry that realigning the product's L gives.
+    """
+    return _middle_swapped_product(psi.choi, phi.choi,
+                                   (psi.d_in, psi.d_out, psi.d_in, psi.d_out),
+                                   (phi.d_in, phi.d_out, phi.d_in, phi.d_out))
+
+
+def inspect_state_report(rho, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """The four state fields of ``choiscope inspect``, checked inline: a
+    ``check_hermitian`` that may raise, then the spectrum of the Hermitian
+    part with the PSD floor written out."""
+    ok = True
+    try:
+        check_hermitian(rho, tol)
+    except ChoiscopeError:
+        ok = False
+    w = np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
+    return {
+        "hermitian": ok,
+        "min_eigenvalue": float(w[0]),
+        "trace": float(np.trace(rho).real),
+        "positive_semidefinite": bool(w[0] >= -(tol.atol + tol.rtol * max(-w[0], w[-1]))),
+    }
 
 
 def validate_via_liouville(channel: Channel,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from choiscope.bsa import (ProductVector, _regroup, _verdict, bipartite_choi,
-                           bsa_operation, bsa_state, candidate_products,
+from choiscope.bsa import (RESIDUAL_MIN_EIG, ProductVector, _regroup, _verdict,
+                           bipartite_choi, bsa_operation, bsa_state, candidate_products,
                            is_separable_operation, kraus_factor_split,
                            max_lambda, max_lambda_bisection, max_pair,
                            osa_fixed_set)
@@ -51,6 +51,20 @@ def test_max_lambda_rejects_non_states(rng):
         max_lambda(np.diag([1.0, -0.5, 0, 0]), psi)
     with pytest.raises(NotAState):
         max_lambda(random_complex(rng, 4, 4), psi)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: _max_lambda_raw calls psi in range at |psi_out|^2 <= "
+    "RANGE_TOL, and the weight it grants leaves an eigenvalue near "
+    "-lambda |psi_out|; the range-coordinate frame must make this pass"))
+def test_max_lambda_leaves_a_psd_residual_near_the_range():
+    eps = 1e-9
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    psi = np.array([np.sqrt(1 - eps), 0, np.sqrt(eps), 0], dtype=complex)
+    # max_lambda returns 0.5 and leaves -1.58e-5; the bisection gives 1.0e-4
+    lam = max_lambda(rho, psi)
+    residual = rho - lam * np.outer(psi, psi.conj())
+    assert np.linalg.eigvalsh(residual)[0] >= RESIDUAL_MIN_EIG
 
 
 def test_max_pair_mutual_maximality(rng):

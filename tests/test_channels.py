@@ -17,7 +17,8 @@ from choiscope.reshape import (BipartiteShape, partial_trace_A,
                                tensor, vectorize)
 
 from conftest import large_kraus_set, random_complex, random_density
-from oracles import choi_from_definition, realign_image_identity_check
+from oracles import (choi_from_definition, realign_image_identity_check,
+                     tensor_choi_broadcast)
 
 
 def random_channel(seed, d_in=2, d_out=2):
@@ -210,11 +211,15 @@ def test_validate_trace_nonincreasing():
     assert rep.completely_positive
 
 
-def test_tensor_channels_of_any_two_channels():
+def any_two_channels():
     # (2->3)(x)(3->2), (2->5)(x)(1->3), and square maps of dimensions 4 and 2
-    pairs = [(random_cp_channel(2, 3, 0), random_cp_channel(3, 2, 1)),
-             (random_cp_channel(2, 5, 2), random_cp_channel(1, 3, 3)),
-             (swap_channel(2), random_cp_channel(2, 2, 0))]
+    return [(random_cp_channel(2, 3, 0), random_cp_channel(3, 2, 1)),
+            (random_cp_channel(2, 5, 2), random_cp_channel(1, 3, 3)),
+            (swap_channel(2), random_cp_channel(2, 2, 0))]
+
+
+def test_tensor_channels_of_any_two_channels():
+    pairs = any_two_channels()
     for k, (phi, psi) in enumerate(pairs):
         product = tensor_channels(phi, psi)
         assert (product.d_in, product.d_out) == (phi.d_in * psi.d_in,
@@ -226,3 +231,16 @@ def test_tensor_channels_of_any_two_channels():
             assert np.max(np.abs(got - want)) < 1e-14, (k, route)
         report = validate(product)
         assert report.trace_preserving and report.completely_positive, k
+
+
+def test_tensor_channels_choi_is_the_factor_broadcast():
+    # realigning the product's L gives D byte for byte: each entry is the
+    # same single product of two factor entries
+    pairs = any_two_channels() + [
+        (random_cp_channel(N, N, 2 * N), random_cp_channel(N, N, 2 * N + 1))
+        for N in range(2, 6)]
+    for phi, psi in pairs:
+        D = tensor_channels(phi, psi).choi
+        want = tensor_choi_broadcast(phi, psi)
+        assert D.shape == want.shape
+        assert D.tobytes() == want.tobytes()

@@ -11,9 +11,8 @@ from choiscope.channels import Channel
 from choiscope.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from choiscope.serialization import parse_text
 
-from conftest import large_kraus_set
+from conftest import FIXTURES, GOLDEN_RUNS, fixture_argv, large_kraus_set
 
-FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -23,15 +22,31 @@ def run(tmp_path, *argv, name="out.json"):
     return code, (out.read_text(encoding="utf-8") if out.exists() else None)
 
 
-@pytest.mark.parametrize("fixture,golden,code", [
-    ("identity2.json", "inspect_identity2.json", EXIT_OK),
-    ("transpose2.json", "inspect_transpose2.json", EXIT_INVALID),
-    ("maxmixed.json", "inspect_maxmixed.json", EXIT_OK),
-])
-def test_inspect_golden(tmp_path, fixture, golden, code):
-    got_code, text = run(tmp_path, "inspect", str(FIXTURES / fixture))
+def golden_rows(*verbs):
+    return [row for row in GOLDEN_RUNS if row[0][0] in verbs]
+
+
+def check_golden(tmp_path, golden):
+    """Run the GOLDEN_RUNS row of ``golden`` in-process and compare its output."""
+    argv, code = next((a, c) for a, g, c in GOLDEN_RUNS if g == golden)
+    got_code, text = run(tmp_path, *fixture_argv(argv))
     assert got_code == code
     assert text == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_golden_runs_cover_every_golden():
+    goldens = [golden for _, golden, _ in GOLDEN_RUNS]
+    assert sorted(goldens) == sorted(p.name for p in GOLDEN.iterdir())
+    covered = golden_rows("inspect", "convert", "compose", "tensor", "gen", "bsa")
+    assert len(covered) == len(GOLDEN_RUNS)
+
+
+# Each golden test below runs its verbs' rows of GOLDEN_RUNS; the parameters
+# besides ``golden`` name the cases.
+@pytest.mark.parametrize("fixture,golden,code",
+                         [(argv[1], golden, code) for argv, golden, code in golden_rows("inspect")])
+def test_inspect_golden(tmp_path, fixture, golden, code):
+    check_golden(tmp_path, golden)
 
 
 def test_inspect_identity_facts():
@@ -43,31 +58,16 @@ def test_inspect_identity_facts():
     assert abs(transpose["min_choi_eigenvalue"] + 1) < 1e-10
 
 
-@pytest.mark.parametrize("fixture,target,golden", [
-    ("identity2.json", "choi", "convert_identity2_choi.json"),
-    ("depolarizing2.json", "liouville", "convert_depolarizing2_liouville.json"),
-    # inexact Kraus entries: L and D are sums of non-trivial products
-    ("random_cp4x4.json", "liouville", "convert_random_cp4x4_liouville.json"),
-    ("random_cp4x4.json", "choi", "convert_random_cp4x4_choi.json"),
-])
+@pytest.mark.parametrize("fixture,target,golden",
+                         [(argv[1], argv[2], golden) for argv, golden, _ in golden_rows("convert")])
 def test_convert_golden(tmp_path, fixture, target, golden):
-    code, text = run(tmp_path, "convert", str(FIXTURES / fixture), target)
-    assert code == EXIT_OK
-    assert text == (GOLDEN / golden).read_text(encoding="utf-8")
+    check_golden(tmp_path, golden)
 
 
-@pytest.mark.parametrize("argv,golden", [
-    # the left map is the identity, so the Liouville product is exact on any BLAS
-    (["compose", "identity2.json", "random_cp2.json"], "compose_identity2_random_cp2.json"),
-    # one elementwise product per entry
-    (["tensor", "random_cp2.json", "depolarizing2.json"], "tensor_random_cp2_depolarizing2.json"),
-    (["gen", "random-cp", "2", "3", "--seed", "1"], "gen_random_cp_2_3_1.json"),
-])
+@pytest.mark.parametrize("argv,golden",
+                         [(argv, golden) for argv, golden, _ in golden_rows("compose", "tensor", "gen")])
 def test_combine_and_gen_golden(tmp_path, argv, golden):
-    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
-    code, text = run(tmp_path, *argv)
-    assert code == EXIT_OK
-    assert text == (GOLDEN / golden).read_text(encoding="utf-8")
+    check_golden(tmp_path, golden)
 
 
 def test_convert_choi_to_kraus_decomposes_once(tmp_path, monkeypatch):
@@ -127,24 +127,10 @@ def test_convert_transpose_to_kraus_fails(tmp_path):
     assert text is None
 
 
-# the flags that produced each golden report, after --seed 0
-BSA_GOLDEN_FLAGS = {
-    "singlet.json": ["--budget", "50"],
-    "maxmixed.json": ["--budget", "100"],
-    "random_cp4x4.json": ["--operation", "--budget", "5"],
-}
-
-
-@pytest.mark.parametrize("fixture,golden", [
-    ("singlet.json", "bsa_singlet.json"),
-    ("maxmixed.json", "bsa_maxmixed.json"),
-    ("random_cp4x4.json", "bsa_operation_random_cp4x4.json"),
-])
+@pytest.mark.parametrize("fixture,golden",
+                         [(argv[1], golden) for argv, golden, _ in golden_rows("bsa")])
 def test_bsa_golden(tmp_path, fixture, golden):
-    code, text = run(tmp_path, "bsa", str(FIXTURES / fixture),
-                     "--seed", "0", *BSA_GOLDEN_FLAGS[fixture])
-    assert code == EXIT_OK
-    assert text == (GOLDEN / golden).read_text(encoding="utf-8")
+    check_golden(tmp_path, golden)
 
 
 def test_bsa_values():

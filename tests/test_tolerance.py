@@ -9,6 +9,9 @@ matrix and the inverted eigenvalues of a pseudo-inverse) keep the
 eigenvalues above the same bound, so they keep no rounding noise.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,11 @@ from choiscope.bsa import _range, bsa_operation
 from choiscope.channels import Channel, choi_to_kraus, validate
 from choiscope.errors import NotPsd
 from choiscope.generators import random_cp_channel, random_state
-from choiscope.numerics import Tolerance, is_psd, pseudo_inverse
+from choiscope.numerics import Tolerance, is_psd, pseudo_inverse, validate_state
+from choiscope.serialization import parse_text
 
-from conftest import large_kraus_set
+from conftest import FIXTURES, large_kraus_set, random_complex
+from oracles import inspect_state_report
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8)
 
@@ -123,3 +128,84 @@ def test_range_rank_is_scale_invariant(seed, c):
     rho = c * random_state(4, seed, rank=2)
     w, cols = _range(rho, Tolerance())
     assert w.size == cols.shape[1] == 2
+
+
+TOLERANCES = (Tolerance(), Tolerance(atol=1e-9, rtol=1e-6), Tolerance(atol=1e-5, rtol=1e-5))
+SKEW = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
+SKEW[0, 2] = 0.2  # not Hermitian, and its Hermitian part is not PSD
+NEGATIVE = np.diag([0.6, 0.401, 0.0, -1e-3]).astype(complex)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e8])
+@pytest.mark.parametrize("seed", range(10))
+def test_tolerance_rules_equal_the_expressions_they_replace(seed, c):
+    rng = np.random.default_rng(seed)
+    M = c * random_complex(rng, 5, 5)
+    w = np.sort(c * rng.normal(size=6))  # ascending, of either sign
+    s = np.sort(c * np.abs(rng.normal(size=6)))[::-1]  # descending
+    s[3:] *= 1e-10  # singular values on both sides of the cut
+    for tol in TOLERANCES:
+        scale = float(np.max(np.abs(M)))
+        for gap in (0.0, tol.atol, 2 * tol.atol, tol.bound(scale), 1.01 * tol.bound(scale)):
+            want = gap <= tol.atol or gap <= tol.atol + tol.rtol * scale
+            assert tol.allows_gap(gap, M) is want
+        assert tol.psd_floor(w) == -(tol.atol + tol.rtol * max(-w[0], w[-1]))
+        assert tol.rank(s) == int(np.sum(s > tol.atol + tol.rtol * s[0]))
+        if tol.bound(c) < c:  # a singular value at the cut itself is not kept
+            assert tol.rank(np.array([c, tol.bound(c)])) == 1
+
+
+def test_gap_allowance_reads_the_matrix_only_past_atol():
+    tol = Tolerance()
+    assert tol.allows_gap(0.5e-9, None)  # None has no max|M|: it is never read
+    with pytest.raises(TypeError):
+        tol.allows_gap(2e-9, None)
+    assert not tol.allows_gap(float("nan"), np.eye(2))
+    assert not tol.allows_gap(float("nan"), np.full((2, 2), np.inf))
+
+
+def _state_cases():
+    for name in ("maxmixed.json", "singlet.json"):
+        yield name, parse_text((FIXTURES / name).read_text(encoding="utf-8")).to_state()
+    golden = Path(__file__).parent / "golden" / "gen_random_state_5.json"
+    yield "random_state_5", parse_text(golden.read_text(encoding="utf-8")).to_state()
+    for c in (1e-6, 1.0, 1e8):
+        for seed in range(10):
+            yield f"{c:g}*random_state(4, {seed})", c * random_state(4, seed)
+    yield "non-hermitian", SKEW
+    yield "negative", NEGATIVE
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=["default", "rtol1e-6", "loose"])
+def test_validate_state_matches_the_inline_inspect_report(tol):
+    for name, rho in _state_cases():
+        got = dataclasses.asdict(validate_state(rho, tol))
+        assert got == inspect_state_report(rho, tol), name
+        assert all(type(got[k]) is bool for k in ("hermitian", "positive_semidefinite"))
+
+
+def test_validate_state_reports_each_failure():
+    report = validate_state(NEGATIVE)
+    assert report.hermitian and not report.positive_semidefinite
+    assert report.min_eigenvalue == -1e-3
+    report = validate_state(SKEW)
+    assert not report.hermitian and not report.positive_semidefinite
+
+
+@pytest.mark.parametrize("build", ["kraus", "liouville"])
+def test_validate_takes_the_hermitian_gap_once(monkeypatch, build):
+    import choiscope.channels as channels
+    calls = []
+    gap = channels.hermitian_gap
+
+    def counting_gap(M):
+        calls.append(M.shape)
+        return gap(M)
+
+    monkeypatch.setattr(channels, "hermitian_gap", counting_gap)
+    channel = random_cp_channel(3, 3, 0, kraus_count=2)
+    if build == "liouville":
+        channel = Channel.from_liouville(channel.liouville, 3, 3)
+    assert (channel.kraus is None) == (build == "liouville")
+    assert validate(channel).completely_positive
+    assert calls == [(9, 9)]
