@@ -6,7 +6,9 @@ product projectors, ``delta_rho >= 0`` and ``Lambda`` as large as
 possible.  The workhorse is coordinate ascent over a finite candidate
 set of product vectors, with single-projector and projector-pair weight
 updates; the subtractable weight of one projector has the closed form
-``1 / <psi| rho^+ |psi>`` when ``psi`` lies in the range of ``rho``.
+``1 / <psi| rho^+ |psi>`` when ``psi`` lies in the range of ``rho``.  The
+ascent reads it on ``rho_a - floor*I``, which has full range, so that each
+residual stays above ``floor = min(0, lambda_min(rho)) + ASCENT_FLOOR``.
 
 Before any of that, ``bsa_state`` asks whether range(rho) can hold a
 product vector at all.  A separable part must lie in range(rho), so when
@@ -42,6 +44,9 @@ from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
 # default because weights are accumulated over many subtractions.
 RANGE_TOL = 1e-9
 RESIDUAL_MIN_EIG = -1e-8
+# The ascent keeps its residual above min(0, lambda_min(rho)) + ASCENT_FLOOR; at
+# RESIDUAL_MIN_EIG / 10 its weights already exceed max_lambda's by 1.1e-7.
+ASCENT_FLOOR = RESIDUAL_MIN_EIG / 100
 # Terms above WEIGHTED_TERM steer the sweeps and refinement seeds, those above
 # KEPT_TERM are kept; _psd_scale takes PSD_SCALE_FLOOR as its PSD floor.
 WEIGHTED_TERM = 1e-10
@@ -146,11 +151,15 @@ def _range(rho: np.ndarray, tol: Tolerance, eig=None):
     return w[keep], V[:, keep]
 
 
+def _shifted_factor(M: np.ndarray, floor: float):
+    """(w - floor, V) from eigh(M), a factor of M - floor*I, or None if w[0] <= floor."""
+    w, V = np.linalg.eigh(M)
+    return None if w[0] <= floor else (w - floor, V)
+
+
 def _max_lambda_raw(factor, psi: np.ndarray) -> float:
-    """Closed-form maximal weight from the ``_range`` factor of rho; psi unit."""
+    """Closed-form maximal weight from a range or shifted factor of rho; psi unit."""
     w, cols = factor
-    if not w.size:
-        return 0.0
     c = cols.conj().T @ psi
     outside = 1.0 - float(np.sum(np.abs(c) ** 2))
     if outside > RANGE_TOL:
@@ -221,23 +230,20 @@ def max_pair(rho, psi1, psi2, tol: Tolerance = DEFAULT_TOL):
     psi2 = _unit_vector(psi2, rho.shape[0])
     if abs(np.vdot(psi1, psi2)) ** 2 > 1.0 - 1e-12:
         raise ValueError("max_pair requires two distinct projectors")
-    return _max_pair_raw(rho, eig, psi1, psi2, np.outer(psi1, psi1.conj()),
-                         np.outer(psi2, psi2.conj()), tol)
+    return _max_pair_raw(_range(rho, tol, eig), psi1, psi2)
 
 
-def _max_pair_raw(rho, eig, psi1, psi2, P1, P2, tol: Tolerance):
-    """max l1 + l2 with rho - l1*P1 - l2*P2 PSD; psi1, psi2 unit, eig = eigh(rho).
+def _max_pair_raw(factor, psi1, psi2):
+    """max l1 + l2 with rho - l1*P1 - l2*P2 PSD, from a ``_range`` or
+    ``_shifted_factor`` factor of rho; psi1, psi2 unit.
 
-    On range(rho) the constraint is a 2x2 condition on a = <1|rho^+|1>,
+    On the factor's span the constraint is a 2x2 condition on a = <1|rho^+|1>,
     b = <2|rho^+|2> and c = |<1|rho^+|2>|, so the optimum is the best of
-    (0, 0), (1/a, 0), (0, 1/b) and, when both are positive, the
-    stationary point ((b - c)/d, (a - c)/d) with d = ab - c^2.  A vector
-    more than ``RANGE_TOL`` outside range(rho) gets weight 0.  The
-    stationary point must also keep the least eigenvalue at or above
-    min(0, that of rho) - atol: an ascent residual may sit slightly
-    below zero where P1 and P2 do not reach.
+    (0, 0), (1/a, 0), (0, 1/b) and, when both are positive, the stationary
+    point ((b - c)/d, (a - c)/d), d = ab - c^2, where the 2x2 determinant is
+    0.  A vector more than ``RANGE_TOL`` outside the span gets weight 0.
     """
-    w, cols = _range(rho, tol, eig)
+    w, cols = factor
     c1 = cols.conj().T @ psi1
     c2 = cols.conj().T @ psi2
     in1 = 1.0 - float(np.sum(np.abs(c1) ** 2)) <= RANGE_TOL
@@ -252,10 +258,7 @@ def _max_pair_raw(rho, eig, psi1, psi2, P1, P2, tol: Tolerance):
     c = abs(np.sum(c1.conj() * c2 / w))
     d = a * b - c * c
     if in1 and in2 and d > 1e-300 and a > c and b > c:
-        l1, l2 = (b - c) / d, (a - c) / d
-        floor = min(0.0, float(eig[0][0])) - tol.atol
-        if np.linalg.eigvalsh(rho - l1 * P1 - l2 * P2)[0] >= floor:
-            points.append((l1, l2))
+        points.append(((b - c) / d, (a - c) / d))
     return max(points, key=sum)
 
 
@@ -460,16 +463,19 @@ def _residual(rho, lambdas, projs) -> np.ndarray:
     return delta
 
 
-def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
+def _ascend(rho, V, lambdas, shape, rng, max_sweeps=500,
             sweep_tol=1e-9, vector_update=False, trace=None):
     """Coordinate-ascent engine over product projectors.
 
     Sweeps single-projector weight updates, then a random subset of
     projector-pair updates, optionally re-optimizing the product vectors
-    of weighted terms in place.  The total weight is nondecreasing.
+    of weighted terms in place.  Each update reads the ``_shifted_factor`` at
+    floor = min(0, lambda_min(rho)) + ``ASCENT_FLOOR``, or is skipped, so the
+    residual stays above floor*I.  The total weight is nondecreasing.
     Mutates ``V`` and ``lambdas``; returns the residual and whether
     the sweeps converged.
     """
+    floor = min(0.0, float(np.linalg.eigvalsh(rho)[0])) + ASCENT_FLOOR
     vecs = [pv.vector for pv in V]
     projs = [np.outer(v, v.conj()) for v in vecs]
     delta = _residual(rho, lambdas, projs)
@@ -478,18 +484,16 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
     for sweep in range(max_sweeps):
         for a in range(len(V)):
             rho_a = delta + lambdas[a] * projs[a]
-            factor = _range(rho_a, tol)
+            factor = _shifted_factor(rho_a, floor)
+            if factor is None:
+                continue
             if vector_update and lambdas[a] > WEIGHTED_TERM:
                 improved = _improve_term(factor, V[a], shape)
-                if improved is not None:
-                    lam_new = _max_lambda_raw(factor, improved.vector)
-                    if lam_new > lambdas[a]:
-                        V[a] = improved
-                        vecs[a] = improved.vector
-                        projs[a] = improved.projector
+                if _max_lambda_raw(factor, improved.vector) > lambdas[a]:
+                    V[a] = improved
+                    vecs[a] = improved.vector
+                    projs[a] = improved.projector
             new = _max_lambda_raw(factor, vecs[a])
-            # the current weight is feasible, so a smaller value can only
-            # come from the range test rejecting a boundary vector; keep it
             if new > lambdas[a]:
                 delta = rho_a - new * projs[a]
                 lambdas[a] = new
@@ -506,8 +510,10 @@ def _ascend(rho, V, lambdas, shape, tol, rng, max_sweeps=500,
                 else:
                     a, b = rng.choice(len(V), size=2, replace=False)
                 rho_ab = delta + lambdas[a] * projs[a] + lambdas[b] * projs[b]
-                l1, l2 = _max_pair_raw(rho_ab, np.linalg.eigh(rho_ab), vecs[a],
-                                       vecs[b], projs[a], projs[b], tol)
+                factor = _shifted_factor(rho_ab, floor)
+                if factor is None:
+                    continue
+                l1, l2 = _max_pair_raw(factor, vecs[a], vecs[b])
                 if l1 + l2 > lambdas[a] + lambdas[b]:
                     delta = rho_ab - l1 * projs[a] - l2 * projs[b]
                     lambdas[a], lambdas[b] = l1, l2
@@ -619,7 +625,7 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     # weight problem; the sweeps then certify feasibility and the
     # coordinate-maximality exit conditions
     lambdas = _fixed_weights_barrier(rho, [pv.vector for pv in V], rng)
-    delta, converged = _ascend(rho, V, lambdas, None, tol, rng,
+    delta, converged = _ascend(rho, V, lambdas, None, rng,
                                max_sweeps=max_sweeps, sweep_tol=sweep_tol,
                                vector_update=False, trace=trace)
     result = _assemble(rho, lambdas, V, delta, len(V))
@@ -693,21 +699,14 @@ def _barrier_terms(rho, shape: BipartiteShape, K: int, rng,
     return [(w * t, pv) for w, pv in terms]
 
 
-def _improve_term(factor, pv: ProductVector,
-                  shape: BipartiteShape) -> Optional[ProductVector]:
+def _improve_term(factor, pv: ProductVector, shape: BipartiteShape) -> ProductVector:
     """Maximize the subtractable weight of one product direction.
 
-    Minimizes ``<e f| rho_a^+ |e f>`` over product vectors in the range
-    of ``rho_a``, given its ``_range`` factor; out-of-range components
-    are suppressed by a penalty.
+    Minimizes ``<e f| (rho_a - floor)^-1 |e f>`` over product vectors,
+    given the ``_shifted_factor`` of ``rho_a``, which spans the whole space.
     """
     w, cols = factor
-    if not w.size:
-        return None
-    pinv = (cols / w) @ cols.conj().T
-    penalty = 1e8 / max(float(w.min()), 1e-30)
-    B = pinv + penalty * (np.eye(shape.dim) - cols @ cols.conj().T)
-    B4 = B.reshape(shape.d_B, shape.d_A, shape.d_B, shape.d_A)
+    B4 = ((cols / w) @ cols.conj().T).reshape(shape.d_B, shape.d_A, shape.d_B, shape.d_A)
     e, f, _ = _best_product_overlaps(B4, pv.e[None], pv.f[None], iters=40,
                                      pick=0)
     return ProductVector(e[0], f[0])
@@ -759,7 +758,7 @@ def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
     lambdas = np.zeros(len(V))
     # looser sweep settings than the certifying fixed-set solver: the
     # refinement rounds below recover far more than late-sweep noise gains
-    delta, _ = _ascend(rho, V, lambdas, shape, tol, rng,
+    delta, _ = _ascend(rho, V, lambdas, shape, rng,
                        max_sweeps=150, sweep_tol=1e-8)
     best = (list(V), np.asarray(lambdas).copy(), delta)
     history = [float(np.sum(lambdas))]
@@ -781,7 +780,7 @@ def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
         lam2 = np.concatenate([lam2, np.zeros(len(fill))])
         if len(V2) == 0:
             break
-        delta2, _ = _ascend(rho, V2, lam2, shape, tol, rng, vector_update=True,
+        delta2, _ = _ascend(rho, V2, lam2, shape, rng, vector_update=True,
                             max_sweeps=60, sweep_tol=1e-8)
         if float(np.sum(lam2)) > float(np.sum(best[1])):
             best = (list(V2), lam2.copy(), delta2)

@@ -255,7 +255,7 @@ def validate(channel: Channel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport
     D = channel.choi
     asymmetry = hermitian_gap(D)
     finite = bool(np.isfinite(asymmetry))
-    hermiticity = tol.allows_gap(asymmetry, D)
+    hermiticity = finite and tol.allows_gap(asymmetry, D)
     # partial_trace_A without its finiteness check, which would raise on a NaN
     tr_A = np.einsum("akbk->ab", _blocks(D, channel.choi_shape))
     trace_preserving = bool(np.max(np.abs(tr_A - np.eye(channel.d_in))) <= tol.atol)

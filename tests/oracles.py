@@ -296,22 +296,16 @@ def swap_conjugate_by_index(L, N: int, mode: str) -> np.ndarray:
     return L[np.ix_(s, s)]
 
 
-def reference_improve_term(rho_a, e, f, shape: BipartiteShape,
-                           atol: float = 1e-9, iters: int = 40):
-    """The single-vector loop that minimized <e f| rho_a^+ |e f>.
+def reference_improve_term(rho_a, e, f, shape: BipartiteShape, floor: float,
+                           iters: int = 40):
+    """The single-vector loop that minimizes <e f| (rho_a - floor)^-1 |e f>.
 
-    Alternating minimum-eigenvector updates of e and f on the range
-    pseudo-inverse plus a penalty on the complement of the range; returns
-    ``(e, f)``, or None when rho_a has no eigenvalue above ``atol``.
+    Alternating minimum-eigenvector updates of e and f on the inverse of
+    rho_a - floor*I, whose eigenvalues must all be positive; returns ``(e, f)``.
     """
     w, Vc = np.linalg.eigh(rho_a)
-    keep = w > atol
-    if not np.any(keep):
-        return None
-    cols = Vc[:, keep]
-    pinv = (cols / w[keep]) @ cols.conj().T
-    penalty = 1e8 / max(float(w[keep].min()), 1e-30)
-    B = pinv + penalty * (np.eye(rho_a.shape[0]) - cols @ cols.conj().T)
+    assert w[0] > floor
+    B = (Vc / (w - floor)) @ Vc.conj().T
     B4 = B.reshape(shape.d_B, shape.d_A, shape.d_B, shape.d_A)
     value = np.inf
     for _ in range(iters):

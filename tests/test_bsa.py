@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from choiscope.bsa import (RESIDUAL_MIN_EIG, ProductVector, _regroup, _verdict,
+from choiscope.bsa import (ASCENT_FLOOR, RESIDUAL_MIN_EIG, ProductVector, _regroup, _verdict,
                            bipartite_choi, bsa_operation, bsa_state, candidate_products,
                            is_separable_operation, kraus_factor_split,
                            max_lambda, max_lambda_bisection, max_pair,
@@ -248,6 +248,22 @@ def test_bsa_state_separable_mixture():
     assert dec.lambda_total >= 0.99
     recon = dec.lambda_total * dec.separable_part + dec.residual
     assert np.allclose(recon, rho, atol=1e-8)
+
+
+# rank-deficient product mixtures whose residuals a range cut per sweep
+# left below the floor: -4.5e-6 at (2, 2, 3), seed 6
+@pytest.mark.parametrize("d_A,d_B,n,s", [(2, 2, 3, 6), (2, 3, 4, 4), (3, 3, 6, 4)])
+def test_bsa_state_residual_stays_above_the_ascent_floor(d_A, d_B, n, s):
+    rho = random_product_mixture(d_A, d_B, n, 1000 + s)
+    dec = bsa_state(rho, BipartiteShape(d_A, d_B), budget=20, seed=s)
+    assert np.linalg.eigvalsh(dec.residual)[0] >= ASCENT_FLOOR - 1e-12
+
+
+def test_osa_residual_stays_above_the_ascent_floor():
+    shape = BipartiteShape(2, 3)
+    rho = random_product_mixture(2, 3, 4, 2003)
+    dec = osa_fixed_set(rho, candidate_products(rho, shape, 10, seed=3), seed=3)
+    assert np.linalg.eigvalsh(dec.residual)[0] >= ASCENT_FLOOR - 1e-12
 
 
 def test_bsa_state_werner_value():

@@ -9,9 +9,8 @@ point may beat it.
 import numpy as np
 import pytest
 
-from choiscope.bsa import (ProductVector, _improve_term, _range, max_lambda_bisection,
-                           max_pair)
-from choiscope.numerics import Tolerance
+from choiscope.bsa import (ASCENT_FLOOR, ProductVector, _improve_term, _max_lambda_raw,
+                           _shifted_factor, max_lambda_bisection, max_pair)
 from choiscope.reshape import BipartiteShape
 
 from conftest import random_complex, random_density
@@ -27,16 +26,21 @@ def test_improve_term_matches_single_vector_loop(d_A, d_B, full_rank, seed):
     rank = shape.dim if full_rank else shape.dim // 2
     rho_a = random_density(rng, shape.dim, rank)
     pv = ProductVector(random_complex(rng, d_A), random_complex(rng, d_B))
-    got = _improve_term(_range(rho_a, Tolerance(1e-9, 1e-9)), pv, shape)
-    e, f = reference_improve_term(rho_a, pv.e, pv.f, shape)
+    got = _improve_term(_shifted_factor(rho_a, ASCENT_FLOOR), pv, shape)
+    e, f = reference_improve_term(rho_a, pv.e, pv.f, shape, ASCENT_FLOOR)
     assert np.max(np.abs(got.projector - ProductVector(e, f).projector)) < 1e-12
 
 
 def test_improve_term_on_zero_residual():
+    # a matrix at or below the ascent floor has no shifted factor, so the
+    # ascent skips its term; a zero residual, just above it, grants -floor
+    for M in (ASCENT_FLOOR * np.eye(4), np.diag([1.0, 1.0, 1.0, 2.0 * ASCENT_FLOOR])):
+        assert _shifted_factor(M, ASCENT_FLOOR) is None
     shape = BipartiteShape(2, 2)
     pv = ProductVector(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert _improve_term(_range(np.zeros((4, 4)), Tolerance(1e-9, 1e-9)), pv, shape) is None
-    assert reference_improve_term(np.zeros((4, 4)), pv.e, pv.f, shape) is None
+    factor = _shifted_factor(np.zeros((4, 4)), ASCENT_FLOOR)
+    got = _improve_term(factor, pv, shape)
+    assert abs(_max_lambda_raw(factor, got.vector) + ASCENT_FLOOR) < 1e-22
 
 
 def _pair_instance(seed):

@@ -118,6 +118,16 @@ def test_validate_reports_a_nan_choi_entry(kraus):
         assert np.isnan(report.min_choi_eigenvalue)
 
 
+def test_validate_reports_an_infinite_choi_entry():
+    # an infinite gap is not below bound(max|D|) = inf
+    c = identity_channel(2)
+    D = c.choi.copy()
+    D[0, 1] = np.inf
+    report = validate(Channel(c.liouville, 2, 2, D))
+    assert not report.hermiticity_preserving
+    assert not report.completely_positive
+
+
 class _Recorder:
     """Wraps numpy.linalg's decompositions and records each input's shape."""
 
