@@ -52,6 +52,10 @@ def main() -> None:
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable output")
     args = parser.parse_args()
+    if args.steps < 1:
+        parser.error("--steps must be at least 1")
+    if args.budget < 0:
+        parser.error("--budget must be non-negative")
     config = SweepConfig(steps=args.steps, budget=args.budget, seed=args.seed)
     rows = run(config)
     if args.json:

@@ -6,9 +6,10 @@ product projectors, ``delta_rho >= 0`` and ``Lambda`` as large as
 possible.  The workhorse is coordinate ascent over a finite candidate
 set of product vectors, with single-projector and projector-pair weight
 updates; the subtractable weight of one projector has the closed form
-``1 / <psi| rho^+ |psi>`` when ``psi`` lies in the range of ``rho``.  The
-ascent reads it on ``rho_a - floor*I``, which has full range, so that each
-residual stays above ``floor = min(0, lambda_min(rho)) + ASCENT_FLOOR``.
+``1 / <psi| rho^+ |psi>`` when ``psi`` lies in the range of ``rho``.  Each
+input has one floor, ``-ASCENT_FLOOR`` below min(0, lambda_min(rho)), read
+from the ``eigh`` of its state check (``_floor``).  The ascent, the barrier's
+rescale, ``max_lambda`` and ``max_pair`` keep every residual above it.
 
 Before any of that, ``bsa_state`` asks whether range(rho) can hold a
 product vector at all.  A separable part must lie in range(rho), so when
@@ -44,14 +45,13 @@ from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
 # default because weights are accumulated over many subtractions.
 RANGE_TOL = 1e-9
 RESIDUAL_MIN_EIG = -1e-8
-# The ascent keeps its residual above min(0, lambda_min(rho)) + ASCENT_FLOOR; at
-# RESIDUAL_MIN_EIG / 10 its weights already exceed max_lambda's by 1.1e-7.
+# Each BSA input's floor lies -ASCENT_FLOOR below min(0, lambda_min(rho)) (_floor);
+# at RESIDUAL_MIN_EIG / 10 the ascent's weights exceed max_lambda's by 1.1e-7.
 ASCENT_FLOOR = RESIDUAL_MIN_EIG / 100
 # Terms above WEIGHTED_TERM steer the sweeps and refinement seeds, those above
-# KEPT_TERM are kept; _psd_scale takes PSD_SCALE_FLOOR as its PSD floor.
+# KEPT_TERM are kept.
 WEIGHTED_TERM = 1e-10
 KEPT_TERM = 1e-12
-PSD_SCALE_FLOOR = -1e-12
 # A candidate product vector is kept when its overlap <e f|Pi|e f> with
 # the range projector reaches this value after the power iteration;
 # random draws at 1 - RANGE_TOL are kept without iterating.
@@ -157,6 +157,13 @@ def _shifted_factor(M: np.ndarray, floor: float):
     return None if w[0] <= floor else (w - floor, V)
 
 
+def _floor(eig):
+    """The floor of a BSA input from eig = (w, V) = eigh(rho), and (w - floor, V)."""
+    w, V = eig
+    floor = min(0.0, float(w[0])) + ASCENT_FLOOR
+    return floor, (w - floor, V)
+
+
 def _max_lambda_raw(factor, psi: np.ndarray) -> float:
     """Closed-form maximal weight from a range or shifted factor of rho; psi unit."""
     w, cols = factor
@@ -185,11 +192,11 @@ def max_lambda(rho, psi, tol: Tolerance = DEFAULT_TOL) -> float:
     """Largest Lambda with rho - Lambda |psi><psi| still PSD.
 
     Zero when psi has a component outside range(rho) beyond tolerance,
-    otherwise ``1 / <psi| rho^+ |psi>``.
+    otherwise ``1 / <psi| rho^+ |psi>`` capped at the weight ``_floor`` allows.
     """
     rho, eig = _check_state(rho, tol)
     psi = _unit_vector(psi, rho.shape[0])
-    return _max_lambda_raw(_range(rho, tol, eig), psi)
+    return min(_max_lambda_raw(f, psi) for f in (_range(rho, tol, eig), _floor(eig)[1]))
 
 
 def max_lambda_bisection(rho, psi, iterations: int = 60,
@@ -223,14 +230,21 @@ def max_lambda_bisection(rho, psi, iterations: int = 60,
 def max_pair(rho, psi1, psi2, tol: Tolerance = DEFAULT_TOL):
     """Pair of weights maximizing their sum with both subtractions feasible.
 
-    Closed form; see ``_max_pair_raw``.
+    Closed form; see ``_max_pair_raw``.  The optimum on the range factor is
+    kept while its residual stays above the floor (``_floor``), otherwise the
+    optimum on the shifted factor of rho - floor*I is returned.
     """
     rho, eig = _check_state(rho, tol)
     psi1 = _unit_vector(psi1, rho.shape[0])
     psi2 = _unit_vector(psi2, rho.shape[0])
     if abs(np.vdot(psi1, psi2)) ** 2 > 1.0 - 1e-12:
         raise ValueError("max_pair requires two distinct projectors")
-    return _max_pair_raw(_range(rho, tol, eig), psi1, psi2)
+    l1, l2 = _max_pair_raw(_range(rho, tol, eig), psi1, psi2)
+    shifted = _floor(eig)[1]
+    sigma = l1 * np.outer(psi1, psi1.conj()) + l2 * np.outer(psi2, psi2.conj())
+    if _psd_scale(shifted, sigma) == 1.0:
+        return l1, l2
+    return _max_pair_raw(shifted, psi1, psi2)
 
 
 def _max_pair_raw(factor, psi1, psi2):
@@ -463,19 +477,17 @@ def _residual(rho, lambdas, projs) -> np.ndarray:
     return delta
 
 
-def _ascend(rho, V, lambdas, shape, rng, max_sweeps=500,
+def _ascend(rho, floor, V, lambdas, shape, rng, max_sweeps=500,
             sweep_tol=1e-9, vector_update=False, trace=None):
     """Coordinate-ascent engine over product projectors.
 
     Sweeps single-projector weight updates, then a random subset of
     projector-pair updates, optionally re-optimizing the product vectors
     of weighted terms in place.  Each update reads the ``_shifted_factor`` at
-    floor = min(0, lambda_min(rho)) + ``ASCENT_FLOOR``, or is skipped, so the
-    residual stays above floor*I.  The total weight is nondecreasing.
-    Mutates ``V`` and ``lambdas``; returns the residual and whether
-    the sweeps converged.
+    rho's ``floor`` (``_floor``), or is skipped, so the residual stays above
+    floor*I.  The total weight is nondecreasing.  Mutates ``V`` and
+    ``lambdas``; returns the residual and whether the sweeps converged.
     """
-    floor = min(0.0, float(np.linalg.eigvalsh(rho)[0])) + ASCENT_FLOOR
     vecs = [pv.vector for pv in V]
     projs = [np.outer(v, v.conj()) for v in vecs]
     delta = _residual(rho, lambdas, projs)
@@ -558,21 +570,14 @@ def _barrier_ascent(rho, x, sigma_of, maxiter: int) -> np.ndarray:
     return x
 
 
-def _psd_scale(rho, sigma) -> float:
-    """Largest t in [0, 1] with rho - t*sigma PSD (to PSD_SCALE_FLOOR), by bisection."""
-    if np.linalg.eigvalsh(rho - sigma)[0] >= PSD_SCALE_FLOOR:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = (lo + hi) / 2.0
-        if np.linalg.eigvalsh(rho - mid * sigma)[0] >= PSD_SCALE_FLOOR:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _psd_scale(shifted, sigma) -> float:
+    """Largest t in [0, 1] with rho - t*sigma >= floor*I, given the ``_floor``
+    factor (S, V) of rho - floor*I: t*lambda_max(S^-1/2 V^dag sigma V S^-1/2) <= 1."""
+    B = shifted[1] / np.sqrt(shifted[0])
+    return 1.0 / max(1.0, float(np.linalg.eigvalsh(B.conj().T @ sigma @ B)[-1]))
 
 
-def _fixed_weights_barrier(rho, vecs, rng) -> np.ndarray:
+def _fixed_weights_barrier(rho, shifted, vecs, rng) -> np.ndarray:
     """Near-optimal weights for a fixed projector set.
 
     max sum(w) subject to rho - sum w_k P_k PSD, w >= 0 is convex; the
@@ -593,7 +598,7 @@ def _fixed_weights_barrier(rho, vecs, rng) -> np.ndarray:
 
     x = _barrier_ascent(rho, 1e-3 * (1.0 + rng.random(Vm.shape[0])), sigma_of,
                         maxiter=400)
-    return x * x * _psd_scale(rho, sigma_of(x)[0])
+    return x * x * _psd_scale(shifted, sigma_of(x)[0])
 
 
 def osa_fixed_set(rho, V: Sequence[ProductVector],
@@ -621,11 +626,12 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     if not V:
         return _assemble(rho, [], [], rho.astype(complex), 0)
     rng = np.random.default_rng(seed)
+    floor, shifted = _floor(eig)
     # warm start from the barrier solution of the (convex) fixed-set
     # weight problem; the sweeps then certify feasibility and the
     # coordinate-maximality exit conditions
-    lambdas = _fixed_weights_barrier(rho, [pv.vector for pv in V], rng)
-    delta, converged = _ascend(rho, V, lambdas, None, rng,
+    lambdas = _fixed_weights_barrier(rho, shifted, [pv.vector for pv in V], rng)
+    delta, converged = _ascend(rho, floor, V, lambdas, None, rng,
                                max_sweeps=max_sweeps, sweep_tol=sweep_tol,
                                vector_update=False, trace=trace)
     result = _assemble(rho, lambdas, V, delta, len(V))
@@ -644,7 +650,7 @@ def _schmidt_factors(v: np.ndarray, shape: BipartiteShape, tol: Tolerance):
     return U[:, 0], Vh[0, :]
 
 
-def _barrier_terms(rho, shape: BipartiteShape, K: int, rng,
+def _barrier_terms(rho, shifted, shape: BipartiteShape, K: int, rng,
                    init_terms=()) -> list:
     """Weighted product directions from a log-det barrier ascent.
 
@@ -694,8 +700,8 @@ def _barrier_terms(rho, shape: BipartiteShape, K: int, rng,
              for k, w in enumerate(weights) if w > KEPT_TERM]
     if not terms:
         return []
-    # global rescale onto the PSD-feasible segment
-    t = _psd_scale(rho, sum(w * pv.projector for w, pv in terms))
+    # global rescale onto rho - sigma >= floor*I; shifted is the _floor factor
+    t = _psd_scale(shifted, sum(w * pv.projector for w, pv in terms))
     return [(w * t, pv) for w, pv in terms]
 
 
@@ -734,12 +740,12 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
         raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
     if abs(np.trace(rho).real - 1.0) > UNIT_TRACE_TOL:
         raise NotAState("bsa_state expects a normalized (trace-1) state")
-    return _bsa_state(rho, _range(rho, tol, eig), shape, budget, seed, tol)
+    return _bsa_state(rho, eig, shape, budget, seed, tol)
 
 
-def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
-    """The BSA of ``bsa_state`` on a checked state and its range factor."""
-    w, cols = factor
+def _bsa_state(rho, eig, shape, budget, seed, tol) -> BsaDecomposition:
+    """The BSA of ``bsa_state`` on a checked state and its ``eigh`` pair."""
+    w, cols = _range(rho, tol, eig)
     if w.size == 1:
         # pure state: Lambda is 1 for a product vector, 0 otherwise
         factors = _schmidt_factors(cols[:, 0], shape, tol)
@@ -753,12 +759,13 @@ def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
     if certificate is not None:
         return BsaDecomposition(0.0, (), np.zeros_like(rho), rho.astype(complex), 0,
                                 certificate=certificate)
+    floor, shifted = _floor(eig)
     rng = np.random.default_rng(seed)
     V = _search_products(cols, Pi, shape, budget, int(rng.integers(1 << 31)))
     lambdas = np.zeros(len(V))
     # looser sweep settings than the certifying fixed-set solver: the
     # refinement rounds below recover far more than late-sweep noise gains
-    delta, _ = _ascend(rho, V, lambdas, shape, rng,
+    delta, _ = _ascend(rho, floor, V, lambdas, shape, rng,
                        max_sweeps=150, sweep_tol=1e-8)
     best = (list(V), np.asarray(lambdas).copy(), delta)
     history = [float(np.sum(lambdas))]
@@ -770,7 +777,7 @@ def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
         V_b, lam_b, _ = best
         seeds = sorted(((lam_b[i], V_b[i]) for i in range(len(V_b))
                         if lam_b[i] > WEIGHTED_TERM), key=lambda t: -t[0])
-        proposal = _barrier_terms(rho, shape, K, rng, seeds)
+        proposal = _barrier_terms(rho, shifted, shape, K, rng, seeds)
         V2 = [pv for _, pv in proposal]
         lam2 = np.array([w for w, _ in proposal])
         fill = _search_products(cols, Pi, shape, max(0, budget - len(V2)),
@@ -780,7 +787,7 @@ def _bsa_state(rho, factor, shape, budget, seed, tol) -> BsaDecomposition:
         lam2 = np.concatenate([lam2, np.zeros(len(fill))])
         if len(V2) == 0:
             break
-        delta2, _ = _ascend(rho, V2, lam2, shape, rng, vector_update=True,
+        delta2, _ = _ascend(rho, floor, V2, lam2, shape, rng, vector_update=True,
                             max_sweeps=60, sweep_tol=1e-8)
         if float(np.sum(lam2)) > float(np.sum(best[1])):
             best = (list(V2), lam2.copy(), delta2)
@@ -857,7 +864,7 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
         raise NotCompletelyPositive("zero map has no BSA")
     rho_E, eig = _check_state(E / trace, tol, trace)
     shape = BipartiteShape(n, n)
-    dec = _bsa_state(rho_E, _range(rho_E, tol, eig), shape, budget, seed, tol)
+    dec = _bsa_state(rho_E, eig, shape, budget, seed, tol)
     kraus = [np.sqrt(trace * lam) * tensor(devectorize(pv.e, d, d),
                                            devectorize(pv.f, d, d))
              for lam, pv in dec.terms]

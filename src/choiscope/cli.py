@@ -20,7 +20,7 @@ import numpy as np
 from . import serialization as ser
 from .bsa import bsa_operation, bsa_state
 from .channels import compose, tensor_channels, validate
-from .errors import ChoiscopeError, NotAState, ParseError
+from .errors import ChoiscopeError, DimensionMismatch, ParseError
 from .generators import (NAMED_CHANNELS, depolarizing_channel,
                          random_cp_channel, random_state)
 from .numerics import DEFAULT_TOL, Tolerance, min_eigenvalue, validate_state
@@ -117,7 +117,7 @@ def _bsa_operation_report(args, cf, tol):
     channel = cf.to_channel()
     d = int(round(channel.d_in ** 0.5))
     if d * d != channel.d_in:
-        raise NotAState("--operation requires a channel on an N x N bipartite system")
+        raise DimensionMismatch("--operation requires a channel on an N x N bipartite system")
     result = bsa_operation(channel, d, budget=args.budget, seed=args.seed, tol=tol)
     return {
         "lambda": float(result.lam),

@@ -7,9 +7,9 @@ from choiscope.bsa import (ASCENT_FLOOR, RESIDUAL_MIN_EIG, ProductVector, _regro
                            max_lambda, max_lambda_bisection, max_pair,
                            osa_fixed_set)
 from choiscope.channels import Channel, identity_channel, mix
-from choiscope.errors import (CandidateOutsideRange, NonConvergence,
-                              NonFinite, NotAState, NotCompletelyPositive,
-                              ShapeMismatch, ZeroMatrix)
+from choiscope.errors import (CandidateOutsideRange, DimensionMismatch,
+                              NonConvergence, NonFinite, NotAState,
+                              NotCompletelyPositive, ShapeMismatch, ZeroMatrix)
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
                                   random_product_mixture, random_state,
                                   swap_channel, werner_state)
@@ -53,18 +53,27 @@ def test_max_lambda_rejects_non_states(rng):
         max_lambda(random_complex(rng, 4, 4), psi)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5: _max_lambda_raw calls psi in range at |psi_out|^2 <= "
-    "RANGE_TOL, and the weight it grants leaves an eigenvalue near "
-    "-lambda |psi_out|; the range-coordinate frame must make this pass"))
 def test_max_lambda_leaves_a_psd_residual_near_the_range():
     eps = 1e-9
     rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     psi = np.array([np.sqrt(1 - eps), 0, np.sqrt(eps), 0], dtype=complex)
-    # max_lambda returns 0.5 and leaves -1.58e-5; the bisection gives 1.0e-4
+    # the range closed form alone grants 0.5 and leaves -1.58e-5; the
+    # bisection gives 1.0e-4
     lam = max_lambda(rho, psi)
     residual = rho - lam * np.outer(psi, psi.conj())
     assert np.linalg.eigvalsh(residual)[0] >= RESIDUAL_MIN_EIG
+
+
+def test_max_pair_leaves_a_psd_residual_near_the_range():
+    # the range optimum alone is (0.5, 0.5) and leaves -1.58e-5
+    eps = 1e-9
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    psi1 = np.array([np.sqrt(1 - eps), 0, np.sqrt(eps), 0], dtype=complex)
+    psi2 = np.array([0, 1, 0, 0], dtype=complex)
+    l1, l2 = max_pair(rho, psi1, psi2)
+    residual = rho - l1 * np.outer(psi1, psi1.conj()) - l2 * np.outer(psi2, psi2.conj())
+    assert np.linalg.eigvalsh(residual)[0] >= ASCENT_FLOOR - 1e-12
+    assert l2 == pytest.approx(0.5) and 0.0 < l1 < 0.5
 
 
 def test_max_pair_mutual_maximality(rng):
@@ -299,6 +308,30 @@ def test_kraus_factor_split_examples(rng):
                 for _ in range(3)]
     prod, rest = kraus_factor_split(all_prod, SH22)
     assert len(prod) == 3 and not rest
+
+
+def test_kraus_factor_split_counts_a_zero_operator_as_product():
+    S = swap_operator(2).astype(complex)
+    prod, rest = kraus_factor_split([np.zeros((4, 4)), S], SH22)
+    assert len(prod) == 1 and not np.any(prod[0]) and len(rest) == 1
+
+
+def test_bipartite_choi_rejects_operators_of_the_wrong_size():
+    with pytest.raises(DimensionMismatch):
+        bipartite_choi([np.eye(3)], 2)
+
+
+@pytest.mark.parametrize("channel", [identity_channel(3),
+                                     Channel.from_kraus([np.ones((9, 4)) / 6.0])],
+                         ids=["3->3", "4->9"])
+def test_bsa_operation_rejects_a_map_not_on_d_by_d(channel):
+    with pytest.raises(DimensionMismatch):
+        bsa_operation(channel, 2, budget=2, seed=0)
+
+
+def test_bsa_operation_rejects_the_zero_map():
+    with pytest.raises(NotCompletelyPositive, match="zero map"):
+        bsa_operation(Channel.from_kraus([np.zeros((4, 4))]), 2, budget=2, seed=0)
 
 
 def test_bsa_operation_identity():

@@ -9,8 +9,9 @@ point may beat it.
 import numpy as np
 import pytest
 
-from choiscope.bsa import (ASCENT_FLOOR, ProductVector, _improve_term, _max_lambda_raw,
-                           _shifted_factor, max_lambda_bisection, max_pair)
+from choiscope.bsa import (ASCENT_FLOOR, ProductVector, _floor, _improve_term,
+                           _max_lambda_raw, _psd_scale, _shifted_factor,
+                           max_lambda_bisection, max_pair)
 from choiscope.reshape import BipartiteShape
 
 from conftest import random_complex, random_density
@@ -41,6 +42,26 @@ def test_improve_term_on_zero_residual():
     factor = _shifted_factor(np.zeros((4, 4)), ASCENT_FLOOR)
     got = _improve_term(factor, pv, shape)
     assert abs(_max_lambda_raw(factor, got.vector) + ASCENT_FLOOR) < 1e-22
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_psd_scale_puts_the_residual_on_the_floor(seed):
+    # the closed form against the predicate it solves: rho - t*sigma stays
+    # above the floor, and a step 1e-6 past t < 1 falls below it
+    rng = np.random.default_rng(seed)
+    d = 6
+    rho = random_density(rng, d, d if seed % 2 else 3)
+    A = random_complex(rng, d, 2)
+    sigma = (1e-3, 1e-1, 2.0)[seed // 2] * (A @ A.conj().T) / np.trace(A @ A.conj().T).real
+    eig = np.linalg.eigh(rho)
+    floor, shifted = _floor(eig)
+    assert floor == min(0.0, eig[0][0]) + ASCENT_FLOOR
+    t = _psd_scale(shifted, sigma)
+    assert 0.0 < t <= 1.0
+    assert np.linalg.eigvalsh(rho - t * sigma)[0] >= floor - 1e-12
+    if t < 1.0:
+        assert np.linalg.eigvalsh(rho - (1.0 + 1e-6) * t * sigma)[0] < floor
+    assert _psd_scale(shifted, 0.0 * sigma) == 1.0
 
 
 def _pair_instance(seed):

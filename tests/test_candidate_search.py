@@ -399,19 +399,32 @@ def test_no_certificate_on_full_range_or_separable_inputs():
 def test_bsa_state_factors_rho_once(monkeypatch):
     # each search of bsa_state reuses its range basis: one eigh of rho
     # outside the ascent (whose first sweep meets rho itself) and one SVD,
-    # the level-1 certificate, however many refinement rounds search again
+    # the level-1 certificate, however many refinement rounds search again;
+    # the floor comes from that eigh, so no eigvalsh of rho runs anywhere,
+    # and each barrier rescale takes one eigvalsh on this rank-3 mixture
     shape = BipartiteShape(2, 2)
     rho = random_product_mixture(2, 2, 3, seed=7)
-    calls = {"eigh": 0, "svd": 0, "search": 0}
-    in_ascent = [0]
-    eigh, svd = np.linalg.eigh, np.linalg.svd
-    ascend, search = bsa._ascend, bsa._search_products
+    calls = {"eigh": 0, "eigvalsh_rho": 0, "svd": 0, "search": 0}
+    in_ascent, in_scale = [0], [False]
+    scale_calls = []
+    eigh, eigvalsh, svd = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd
+    ascend, search, psd_scale = bsa._ascend, bsa._search_products, bsa._psd_scale
+
+    def is_rho(a):
+        a = np.asarray(a)
+        return a.shape == rho.shape and np.allclose(a, rho, rtol=0.0, atol=1e-14)
 
     def counting_eigh(a, *args, **kwargs):
-        if (not in_ascent[0] and a.shape == rho.shape
-                and np.allclose(a, rho, rtol=0.0, atol=1e-14)):
+        if not in_ascent[0] and is_rho(a):
             calls["eigh"] += 1
         return eigh(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        if is_rho(a):
+            calls["eigvalsh_rho"] += 1
+        if in_scale[0]:
+            scale_calls[-1] += 1
+        return eigvalsh(a, *args, **kwargs)
 
     def counting_svd(a, *args, **kwargs):
         calls["svd"] += 1
@@ -428,14 +441,26 @@ def test_bsa_state_factors_rho_once(monkeypatch):
         calls["search"] += 1
         return search(*args, **kwargs)
 
+    def counting_psd_scale(*args, **kwargs):
+        scale_calls.append(0)
+        in_scale[0] = True
+        try:
+            return psd_scale(*args, **kwargs)
+        finally:
+            in_scale[0] = False
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(bsa, "_ascend", marked_ascend)
     monkeypatch.setattr(bsa, "_search_products", counting_search)
+    monkeypatch.setattr(bsa, "_psd_scale", counting_psd_scale)
     dec = bsa_state(rho, shape, budget=6, seed=0)
     assert dec.certificate is None and dec.lambda_total > 0.99
     assert calls["search"] >= 2
     assert calls["eigh"] == 1 and calls["svd"] == 1
+    assert calls["eigvalsh_rho"] == 0
+    assert scale_calls and set(scale_calls) == {1}
 
 
 def _count_decompositions(monkeypatch, matches):

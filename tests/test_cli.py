@@ -162,6 +162,16 @@ def test_bsa_operation_local_unitary(tmp_path):
     assert abs(report["lambda"] - 1.0) < 1e-8
 
 
+def test_bsa_operation_on_a_map_not_on_n_by_n_exits_2(tmp_path, capsys):
+    from choiscope.channels import identity_channel
+    from choiscope.serialization import dump_channel
+    src = tmp_path / "identity3.json"
+    src.write_text(dump_channel(identity_channel(3), "kraus"), encoding="utf-8")
+    code, text = run(tmp_path, "bsa", str(src), "--operation", "--seed", "0")
+    assert code == EXIT_INVALID and text is None
+    assert "DimensionMismatch" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fixture", ["identity2.json", "transpose2.json",
                                      "depolarizing2.json", "swap2.json",
                                      "random_cp2.json", "random_cp4x4.json"])
