@@ -870,8 +870,7 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
              for lam, pv in dec.terms]
     bsa_part = Channel.from_kraus(kraus or [np.zeros((n, n))])
     ent_part = Channel.from_choi(D - bsa_part.choi, n, n)
-    verdict = _verdict(D, bsa_part, ent_part, shape, tol, dec.lambda_total,
-                       (trace * eig[0], eig[1]))
+    verdict = _verdict(D, bsa_part, ent_part, shape, tol, dec.lambda_total, eig)
     return OperationBsa(bsa_part=bsa_part, ent_part=ent_part,
                         lam=dec.lambda_total, terms=dec.terms,
                         verdict=verdict, certificate=dec.certificate)
@@ -883,7 +882,8 @@ def _verdict(D, bsa_part: Channel, ent_part: Channel, shape: BipartiteShape,
 
     Separable when the entangled remainder is numerically zero; entangled
     when ``lam`` is 0, so that the residual is the input itself, and its
-    range, read from ``eig`` = eigh of the regrouped D, is one-dimensional
+    range, read from ``eig`` = eigh of the regrouped D over its trace (the
+    spectrum the BSA cut its range from), is one-dimensional
     (:func:`~choiscope.numerics.range_mask`) and spanned by a non-product
     vector; inconclusive otherwise.  For ``lam > 0`` a rank-one entangled
     residual proves nothing: a separable input can split into a separable

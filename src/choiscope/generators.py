@@ -11,12 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Channel, identity_channel, transpose_channel
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ShapeMismatch
 from .reshape import swap_operator
 
 
 def depolarizing_channel(N: int, p: float) -> Channel:
     """rho -> (1 - p) rho + p * tr(rho) I/N."""
+    if N < 1:
+        raise ShapeMismatch(f"depolarizing channel needs N >= 1, got {N}")
     L = (1.0 - p) * np.eye(N * N, dtype=complex)
     ident = np.eye(N, dtype=complex).reshape(-1, order="F")
     L += (p / N) * np.outer(ident, ident.conj())
@@ -62,6 +64,8 @@ def random_state(d: int, seed: int, rank: int = 0) -> np.ndarray:
 
 def random_product_mixture(d_A: int, d_B: int, n_terms: int, seed: int) -> np.ndarray:
     """Separable state: uniform mixture of random product projectors."""
+    if n_terms < 1:
+        raise ShapeMismatch(f"a product mixture needs n_terms >= 1, got {n_terms}")
     rng = np.random.default_rng(seed)
     d = d_A * d_B
     rho = np.zeros((d, d), dtype=complex)

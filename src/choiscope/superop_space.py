@@ -14,22 +14,23 @@ columns are ``vectorize(E_a)`` and ``vectorize(F_b)``, and at most one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import Channel
 from .errors import NotOrthonormal, ShapeMismatch
+from .generators import random_unitary
 from .numerics import as_matrix, hs_inner
-from .reshape import (BipartiteShape, devectorize, realign, realign_inverse,
-                      tensor, vectorize)
+from .reshape import BipartiteShape, realign, realign_inverse, tensor, vectorize
 
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """An orthonormal basis of N x N matrices (N^2 elements)."""
+    """An orthonormal basis of N x N matrices; ``columns[:, a]`` is ``vectorize(E_a)``."""
 
     elements: tuple
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         els = tuple(as_matrix(E) for E in self.elements)
@@ -39,8 +40,9 @@ class OperatorBasis:
         N = els[0].shape[0]
         if any(E.shape != (N, N) for E in els) or len(els) != N * N:
             raise ShapeMismatch("basis must contain N^2 square N x N matrices")
-        flat = np.stack(els).reshape(N * N, N * N)
-        gram = flat.conj() @ flat.T  # gram[a, b] = hs_inner(E_a, E_b)
+        cols = np.stack(els).transpose(0, 2, 1).reshape(N * N, N * N).T
+        object.__setattr__(self, "columns", cols)
+        gram = cols.conj().T @ cols  # gram[a, b] = hs_inner(E_a, E_b)
         if np.max(np.abs(gram - np.eye(N * N))) > 1e-10:
             raise NotOrthonormal("basis Gram matrix deviates from identity")
 
@@ -58,30 +60,29 @@ class OperatorBasis:
         return self.elements[i]
 
 
+def _column_basis(N: int, unitary) -> OperatorBasis:
+    """The basis whose columns are ``unitary(N * N)``, devectorized in one reshape."""
+    if N < 1:
+        raise ShapeMismatch("empty operator basis")
+    U = unitary(N * N)
+    return OperatorBasis(tuple(U.reshape(N, N, N * N, order="F").transpose(2, 0, 1)))
+
+
 def elementary_basis(N: int) -> OperatorBasis:
     """The matrices |i><j| in vectorization (column-major) order."""
-    els = []
-    for a in range(N * N):
-        E = np.zeros((N, N), dtype=complex)
-        E[a % N, a // N] = 1.0
-        els.append(E)
-    return OperatorBasis(tuple(els))
+    return _column_basis(N, lambda n: np.eye(n, dtype=complex))
 
 
 def rotated_basis(N: int, seed: int) -> OperatorBasis:
-    """Elementary basis rotated by a Haar-random N^2 x N^2 unitary."""
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
-    Q, R = np.linalg.qr(A)
-    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
-    return OperatorBasis(tuple(devectorize(Q[:, a], N, N) for a in range(N * N)))
+    """The basis whose columns are the Haar-random ``random_unitary(N^2)``."""
+    return _column_basis(N, lambda n: random_unitary(n, np.random.default_rng(seed)))
 
 
 def _columns(B: OperatorBasis, N: int) -> np.ndarray:
-    """The unitary whose column a is ``vectorize(B[a])``, for a basis of dim N."""
+    """``B.columns``, for a basis of dim N."""
     if B.dim != N:
         raise ShapeMismatch(f"basis of dim {B.dim}, expected {N}")
-    return np.stack(B.elements).transpose(0, 2, 1).reshape(N * N, N * N).T
+    return B.columns
 
 
 def superop_inner(phi: Channel, psi: Channel, basis: OperatorBasis) -> complex:

@@ -390,6 +390,22 @@ def test_verdict_ignores_rank_one_residual_when_lambda_is_positive():
     assert verdict.kind == "inconclusive"
 
 
+@pytest.mark.parametrize("eps", [5e-10, 1.5e-9])
+def test_operation_verdict_reads_the_spectrum_the_range_came_from(rng, eps):
+    # E / tr E = (1 - eps) Phi+ + eps |v><v|, v a unit vector orthogonal to
+    # Phi+: at eps = 1.5e-9 the BSA's range cut (on E / tr E) keeps rank 1
+    # and returns lambda = 0, so the verdict's range must be rank 1 as well;
+    # at the map's scale, tr E * 6e-9 clears the absolute atol
+    phi = np.eye(4).reshape(-1) / 2.0
+    v = random_complex(rng, 16)
+    v -= phi * (phi @ v)
+    v /= np.linalg.norm(v)
+    E = 4.0 * ((1 - eps) * np.outer(phi, phi) + eps * np.outer(v, v.conj()))
+    res = bsa_operation(Channel.from_choi(_regroup(E, 2), 4, 4), 2, budget=2, seed=0)
+    assert res.lam == 0.0 and res.certificate is None
+    assert res.verdict.kind == "entangled"
+
+
 def test_is_separable_operation_is_bsa_operation_verdict(rng):
     U = np.linalg.qr(random_complex(rng, 2, 2))[0]
     W = np.linalg.qr(random_complex(rng, 2, 2))[0]

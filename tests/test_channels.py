@@ -10,7 +10,8 @@ from choiscope.channels import (Channel, apply, choi_to_kraus,
                                 validate)
 from choiscope.errors import NotCompletelyPositive, ShapeMismatch
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
-                                  random_state, swap_channel)
+                                  random_product_mixture, random_state,
+                                  swap_channel)
 from choiscope.numerics import hs_inner, min_eigenvalue
 from choiscope.reshape import (BipartiteShape, partial_trace_A,
                                partial_trace_B, realign, swap_operator,
@@ -188,6 +189,15 @@ def test_conversions_reject_dimensions_that_do_not_fit(d_in, d_out):
         choi_to_liouville(np.eye(4), d_in, d_out)
     with pytest.raises(ShapeMismatch):
         choi_to_kraus(np.eye(4), d_in, d_out)
+
+
+@pytest.mark.parametrize("make", [lambda: depolarizing_channel(0, 0.5),
+                                  lambda: random_product_mixture(2, 2, 0, 1),
+                                  lambda: random_product_mixture(2, 2, -1, 1)])
+def test_generators_reject_empty_sizes(make):
+    # not a ZeroDivisionError, nor an all-NaN or zero "state"
+    with pytest.raises(ShapeMismatch):
+        make()
 
 
 def test_transpose_conjugations():

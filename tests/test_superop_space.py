@@ -3,10 +3,10 @@ import pytest
 
 from choiscope.channels import Channel, identity_channel, transpose_channel
 from choiscope.errors import NotOrthonormal, ShapeMismatch
-from choiscope.generators import random_cp_channel
+from choiscope.generators import random_cp_channel, random_unitary
 from choiscope.numerics import hs_inner
-from choiscope.reshape import swap_operator, tensor, vectorize
-from choiscope.superop_space import (OperatorBasis, SuperopCoeffs,
+from choiscope.reshape import devectorize, swap_operator, tensor, vectorize
+from choiscope.superop_space import (OperatorBasis, SuperopCoeffs, _columns,
                                      coefficients, convert_coeffs,
                                      delta_liouville, elementary_basis,
                                      lambda_iso, rotated_basis, superop_inner,
@@ -41,10 +41,33 @@ def test_operator_basis_rejects_non_orthonormal():
 
 @pytest.mark.parametrize("make", [lambda: OperatorBasis(()),
                                   lambda: elementary_basis(0),
-                                  lambda: rotated_basis(0, 1)])
+                                  lambda: rotated_basis(0, 1),
+                                  lambda: elementary_basis(-1),
+                                  lambda: rotated_basis(-1, 1),
+                                  lambda: elementary_basis(-2)])
 def test_empty_basis_is_a_shape_mismatch(make):
     with pytest.raises(ShapeMismatch, match="empty operator basis"):
         make()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_rotated_basis_columns_are_random_unitary(N, seed):
+    B = rotated_basis(N, seed)
+    U = random_unitary(N * N, np.random.default_rng(seed))
+    assert np.array_equal(B.columns, U)
+    assert _columns(B, N) is B.columns
+    for a, E in enumerate(B):
+        assert np.array_equal(E, devectorize(U[:, a], N, N))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_elementary_basis_columns_are_the_identity(N):
+    B = elementary_basis(N)
+    assert np.array_equal(B.columns, np.eye(N * N))
+    assert _columns(B, N) is B.columns
+    for a, E in enumerate(B):
+        assert np.array_equal(E, devectorize(B.columns[:, a], N, N))
 
 
 def test_inner_product_basis_independent():
