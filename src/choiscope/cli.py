@@ -94,9 +94,10 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    tol = _tolerance(args)
     cf, _ = _load(args.path)
     # a "kraus" target raises NotCompletelyPositive on maps like the transpose
-    _write(args, ser.dump_channel(cf.to_channel(), args.target))
+    _write(args, ser.dump_channel(cf.to_channel(), args.target, tol))
     return EXIT_OK
 
 
@@ -107,7 +108,7 @@ def _bsa_state_report(args, cf, tol):
     return {
         "lambda_total": float(dec.lambda_total),
         "term_count": len(dec.terms),
-        "residual_min_eigenvalue": float(min_eigenvalue(dec.residual)),
+        "residual_min_eigenvalue": float(min_eigenvalue(dec.residual, tol)),
         "candidate_set_size": dec.candidate_set_size,
         "terms": _terms(dec.terms),
     }
@@ -156,14 +157,22 @@ def cmd_gen(args) -> int:
     name, dims = args.name, args.dims
     if any(d < 1 for d in dims):
         raise ParseError(f"gen: dimensions must be >= 1, got {dims}")
-    second = dims[1] if len(dims) > 1 else dims[0]
+    randomized = name.startswith("random-")
+    if len(dims) > 1 + randomized:
+        raise ParseError(f"gen {name} takes {'one or two sizes' if randomized else 'one size'}, "
+                         f"got {dims}")
+    if args.seed is not None and not randomized:
+        raise ParseError(f"gen {name} does not read --seed")
+    if args.p is not None and name != "depolarizing":
+        raise ParseError(f"gen {name} does not read --p")
+    second = dims[-1]
     if name == "random-state":
         text = ser.dump_state(random_state(dims[0] * second, _seed(args)), (dims[0], second))
     else:
         if name == "random-cp":
             channel = random_cp_channel(dims[0], second, _seed(args))
         elif name == "depolarizing":
-            channel = depolarizing_channel(dims[0], args.p)
+            channel = depolarizing_channel(dims[0], 0.5 if args.p is None else args.p)
         else:
             channel = NAMED_CHANNELS[name](dims[0])
         text = ser.dump_channel(channel, "liouville" if name == "transpose" else "kraus")
@@ -194,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calculus of quantum operations as matrices.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, seed=False, budget=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL.atol,
-                       help="numerical tolerance, atol and rtol (default: 1e-9)")
+    def common(p, tol=False, seed=False, budget=False):
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL.atol,
+                           help="numerical tolerance, atol and rtol (default: 1e-9)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if seed:
             p.add_argument("--seed", type=int, default=None)
@@ -205,28 +215,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="validate a state or channel file")
     p.add_argument("path")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("convert", help="convert a channel representation")
     p.add_argument("path")
     p.add_argument("target", choices=["kraus", "liouville", "choi"])
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("bsa", help="best separable approximation")
     p.add_argument("path")
     p.add_argument("--operation", action="store_true",
                    help="treat input as a channel on a bipartite system")
-    common(p, seed=True, budget=True)
+    common(p, tol=True, seed=True, budget=True)
     p.set_defaults(func=cmd_bsa)
 
     p = sub.add_parser("gen", help="generate a fixture")
     p.add_argument("name", choices=["identity", "transpose", "depolarizing",
                                     "swap", "random-cp", "random-state"])
     p.add_argument("dims", type=int, nargs="+")
-    p.add_argument("--p", type=float, default=0.5,
-                   help="depolarizing strength")
+    p.add_argument("--p", type=float, default=None,
+                   help="depolarizing strength (default: 0.5)")
     common(p, seed=True)
     p.set_defaults(func=cmd_gen)
 

@@ -43,6 +43,8 @@ def random_cp_channel(d_in: int, d_out: int, seed: int,
     The isometry's column-orthonormality makes the Kraus blocks satisfy
     sum G^dag G = I exactly, so the result is always trace preserving.
     """
+    if kraus_count < 0:
+        raise ShapeMismatch(f"kraus_count must be >= 0, got {kraus_count}")
     rng = np.random.default_rng(seed)
     k = kraus_count if kraus_count > 0 else d_out
     A = rng.normal(size=(k * d_out, d_in)) + 1j * rng.normal(size=(k * d_out, d_in))
@@ -54,7 +56,11 @@ def random_cp_channel(d_in: int, d_out: int, seed: int,
 
 
 def random_state(d: int, seed: int, rank: int = 0) -> np.ndarray:
-    """Random density matrix (Wishart, normalized to unit trace)."""
+    """Random density matrix (Wishart, normalized to unit trace); rank 0 is full rank."""
+    if d < 1:
+        raise ShapeMismatch(f"a state needs d >= 1, got {d}")
+    if not 0 <= rank <= d:
+        raise ShapeMismatch(f"rank must be in 0..{d}, got {rank}")
     rng = np.random.default_rng(seed)
     r = rank if rank > 0 else d
     A = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
@@ -66,6 +72,8 @@ def random_product_mixture(d_A: int, d_B: int, n_terms: int, seed: int) -> np.nd
     """Separable state: uniform mixture of random product projectors."""
     if n_terms < 1:
         raise ShapeMismatch(f"a product mixture needs n_terms >= 1, got {n_terms}")
+    if d_A < 1 or d_B < 1:
+        raise ShapeMismatch(f"subsystem dimensions must be >= 1, got {d_A}, {d_B}")
     rng = np.random.default_rng(seed)
     d = d_A * d_B
     rho = np.zeros((d, d), dtype=complex)

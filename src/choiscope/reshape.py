@@ -22,6 +22,7 @@ single source of truth for the tests.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,11 @@ class BipartiteShape:
     d_B: int
 
     def __post_init__(self):
+        try:  # numpy integers pass, 2.5 does not
+            operator.index(self.d_A), operator.index(self.d_B)
+        except TypeError:
+            raise ShapeMismatch(f"subsystem dimensions must be integers, "
+                                f"got {self.d_A!r}, {self.d_B!r}") from None
         if self.d_A < 1 or self.d_B < 1:
             raise ShapeMismatch(f"subsystem dimensions must be >= 1, got {self.d_A}, {self.d_B}")
 
@@ -106,7 +112,7 @@ def partial_trace_A(Z, shape: BipartiteShape) -> np.ndarray:
 def swap_operator(N: int) -> np.ndarray:
     """Permutation matrix sum_ij |ij><ji| on an N x N bipartite system."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ShapeMismatch(f"swap operator needs N >= 1, got {N}")
     # S[j*N + i, i*N + j] = 1: the identity with its two column factors swapped
     return np.eye(N * N).reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
 
@@ -210,5 +216,6 @@ def middle_swap(N: int) -> np.ndarray:
     terms this is ``kron(I, kron(S, I))`` with the identity factors on
     the outside.
     """
-    return np.kron(np.eye(N), np.kron(swap_operator(N), np.eye(N)))
+    S = swap_operator(N)  # first, so N < 1 raises its ShapeMismatch
+    return np.kron(np.eye(N), np.kron(S, np.eye(N)))
 

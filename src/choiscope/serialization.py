@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Channel
 from .errors import ParseError
-from .numerics import as_matrix
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix
 
 FORMAT_VERSION = "1"
 KINDS = ("kraus", "liouville", "choi", "state")
@@ -177,10 +177,13 @@ def dump_file(kind: str, dims, matrices) -> str:
             % (data, dims[0], dims[1], FORMAT_VERSION, kind))
 
 
-def dump_channel(channel: Channel, kind: str = "kraus") -> str:
+def dump_channel(channel: Channel, kind: str = "kraus",
+                 tol: Tolerance = DEFAULT_TOL) -> str:
+    """Serialize ``channel`` as ``kind``; a Kraus set read from the Choi
+    matrix has its CP floor and rank cut at ``tol``."""
     dims = (channel.d_in, channel.d_out)
     if kind == "kraus":
-        return dump_file("kraus", dims, channel.kraus_operators())
+        return dump_file("kraus", dims, channel.kraus_operators(tol))
     if kind == "liouville":
         return dump_file("liouville", dims, [channel.liouville])
     if kind == "choi":

@@ -16,6 +16,7 @@ from choiscope.numerics import hs_inner, min_eigenvalue
 from choiscope.reshape import (BipartiteShape, partial_trace_A,
                                partial_trace_B, realign, swap_operator,
                                tensor, vectorize)
+from choiscope.reshape import middle_swap
 
 from conftest import large_kraus_set, random_complex, random_density
 from oracles import (choi_from_definition, realign_image_identity_check,
@@ -193,11 +194,32 @@ def test_conversions_reject_dimensions_that_do_not_fit(d_in, d_out):
 
 @pytest.mark.parametrize("make", [lambda: depolarizing_channel(0, 0.5),
                                   lambda: random_product_mixture(2, 2, 0, 1),
-                                  lambda: random_product_mixture(2, 2, -1, 1)])
+                                  lambda: random_product_mixture(2, 2, -1, 1),
+                                  lambda: swap_operator(0),
+                                  lambda: middle_swap(0),
+                                  lambda: middle_swap(-1),
+                                  lambda: transpose_channel(0),
+                                  lambda: swap_channel(0),
+                                  lambda: identity_channel(0),
+                                  lambda: random_state(0, 1),
+                                  lambda: random_state(3, 1, rank=-2),
+                                  lambda: random_state(3, 1, rank=4),
+                                  lambda: random_product_mixture(0, 2, 3, 1),
+                                  lambda: random_product_mixture(2, 0, 3, 1),
+                                  lambda: random_cp_channel(2, 2, 1, kraus_count=-1),
+                                  lambda: BipartiteShape(2.5, 2),
+                                  lambda: BipartiteShape(2, 2.0)])
 def test_generators_reject_empty_sizes(make):
     # not a ZeroDivisionError, nor an all-NaN or zero "state"
     with pytest.raises(ShapeMismatch):
         make()
+
+
+def test_shapes_accept_numpy_integers_and_full_rank_default():
+    assert BipartiteShape(np.int64(2), np.intp(3)).dim == 6
+    assert np.linalg.matrix_rank(random_state(3, 1, rank=0)) == 3
+    assert np.linalg.matrix_rank(random_state(3, 1, rank=3)) == 3
+    assert np.linalg.matrix_rank(random_state(3, 1, rank=1)) == 1
 
 
 def test_transpose_conjugations():

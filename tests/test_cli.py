@@ -403,3 +403,90 @@ def test_inspect_large_pure_state_is_psd(tmp_path, seed):
     code, text = run(tmp_path, "inspect", str(src))
     assert code == EXIT_OK
     assert json.loads(text)["positive_semidefinite"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", str(FIXTURES / "identity2.json"), str(FIXTURES / "random_cp2.json")],
+    ["tensor", str(FIXTURES / "identity2.json"), str(FIXTURES / "random_cp2.json")],
+    ["gen", "random-cp", "2", "--seed", "0"],
+    ["gen", "identity", "2"],
+])
+def test_tol_on_a_verb_that_makes_no_tolerance_decision_is_usage_error(capsys, argv):
+    assert main([*argv, "--tol", "1e-7"]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("verb,reads_tol", [("inspect", True), ("convert", True), ("bsa", True),
+                                            ("gen", False), ("compose", False),
+                                            ("tensor", False)])
+def test_only_inspect_convert_and_bsa_list_tol(capsys, verb, reads_tol):
+    with pytest.raises(SystemExit) as done:
+        main([verb, "--help"])
+    assert done.value.code == 0
+    assert ("--tol" in capsys.readouterr().out) == reads_tol
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["identity", "2", "3", "4"], "[2, 3, 4]"),
+    (["transpose", "3", "5"], "[3, 5]"),
+    (["swap", "2", "2"], "[2, 2]"),
+    (["depolarizing", "2", "3"], "[2, 3]"),
+    (["random-cp", "2", "3", "4", "--seed", "1"], "[2, 3, 4]"),
+    (["random-state", "2", "3", "7", "--seed", "1"], "[2, 3, 7]"),
+    (["identity", "2", "--seed", "5"], "--seed"),
+    (["depolarizing", "2", "--seed", "5"], "--seed"),
+    (["identity", "2", "--p", "0.9"], "--p"),
+    (["random-state", "2", "--seed", "1", "--p", "0.9"], "--p"),
+])
+def test_gen_rejects_input_its_generator_does_not_read(tmp_path, capsys, argv, named):
+    assert main(["gen", *argv]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: gen ") and named in err
+    code, text = run(tmp_path, "gen", *argv)
+    assert code == EXIT_IO and text is None
+
+
+def test_gen_depolarizing_defaults_to_half_strength(tmp_path):
+    _, default = run(tmp_path, "gen", "depolarizing", "2", name="a.json")
+    _, half = run(tmp_path, "gen", "depolarizing", "2", "--p", "0.5", name="b.json")
+    assert default == half == (FIXTURES / "depolarizing2.json").read_text(encoding="utf-8")
+
+
+def _choi_file(tmp_path, least):
+    """A 2 -> 2 Choi matrix U diag(least, 0.3, 0.7, 1) U^dag, U a seeded QR factor."""
+    from choiscope.serialization import dump_file
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    src = tmp_path / "choi.json"
+    src.write_text(dump_file("choi", (2, 2), [U @ np.diag([least, 0.3, 0.7, 1.0]) @ U.conj().T]),
+                   encoding="utf-8")
+    return str(src)
+
+
+@pytest.mark.parametrize("tol,want", [([], EXIT_INVALID), (["--tol", "1e-7"], EXIT_OK)])
+def test_convert_kraus_and_inspect_agree_at_one_tol(tmp_path, tol, want):
+    src = _choi_file(tmp_path, -5e-9)
+    inspected, report = run(tmp_path, "inspect", src, *tol, name="inspect.json")
+    converted, text = run(tmp_path, "convert", src, "kraus", *tol, name="kraus.json")
+    assert inspected == converted == want
+    assert json.loads(report)["completely_positive"] is (want == EXIT_OK)
+    if want == EXIT_OK:
+        assert len(parse_text(text).matrices) == 3
+
+
+@pytest.mark.parametrize("tol,count", [([], 4), (["--tol", "1e-7"], 3)])
+def test_convert_kraus_rank_cut_follows_tol(tmp_path, tol, count):
+    code, text = run(tmp_path, "convert", _choi_file(tmp_path, 5e-9), "kraus", *tol)
+    assert code == EXIT_OK
+    assert len(parse_text(text).matrices) == count
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_convert_rejects_bad_tol(tmp_path, capsys, value):
+    code, text = run(tmp_path, "convert", str(FIXTURES / "identity2.json"), "kraus",
+                     "--tol", value)
+    assert code == EXIT_IO and text is None
+    assert capsys.readouterr().err.startswith("error: --tol must be positive and finite")
