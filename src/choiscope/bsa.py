@@ -36,8 +36,7 @@ from .channels import Channel, _kraus_stack
 from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
                      NonFinite, NotAState, NotCompletelyPositive,
                      ShapeMismatch, ZeroMatrix)
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, check_hermitian,
-                       range_mask)
+from .numerics import DEFAULT_TOL, Tolerance, check_hermitian, range_mask
 from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
                       tensor, tensor_vectors)
 
@@ -454,7 +453,9 @@ def _search_products(cols: np.ndarray, Pi: np.ndarray, shape: BipartiteShape,
     return kept
 
 
-def _assemble(rho, lambdas, V, residual, candidate_set_size) -> BsaDecomposition:
+def _assemble(rho, lambdas, V, residual, certificate=None) -> BsaDecomposition:
+    """The decomposition weighing the projectors of ``V`` by ``lambdas``, over all
+    ``len(V)`` candidates; every ``BsaDecomposition`` is built here."""
     total = float(np.sum(lambdas))
     sep = np.zeros(rho.shape, dtype=complex)
     if total > 0:
@@ -465,7 +466,7 @@ def _assemble(rho, lambdas, V, residual, candidate_set_size) -> BsaDecomposition
     terms = tuple((float(lam), pv) for lam, pv in zip(lambdas, V) if lam > KEPT_TERM)
     return BsaDecomposition(lambda_total=total, terms=terms,
                             separable_part=sep, residual=residual,
-                            candidate_set_size=candidate_set_size)
+                            candidate_set_size=len(V), certificate=certificate)
 
 
 def _residual(rho, lambdas, projs) -> np.ndarray:
@@ -624,7 +625,7 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
         if float(np.vdot(v, Pi @ v).real) < PRODUCT_OVERLAP:
             raise CandidateOutsideRange("candidate outside range of rho")
     if not V:
-        return _assemble(rho, [], [], rho.astype(complex), 0)
+        return _assemble(rho, [], [], rho.astype(complex))
     rng = np.random.default_rng(seed)
     floor, shifted = _floor(eig)
     # warm start from the barrier solution of the (convex) fixed-set
@@ -634,7 +635,7 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     delta, converged = _ascend(rho, floor, V, lambdas, None, rng,
                                max_sweeps=max_sweeps, sweep_tol=sweep_tol,
                                vector_update=False, trace=trace)
-    result = _assemble(rho, lambdas, V, delta, len(V))
+    result = _assemble(rho, lambdas, V, delta)
     if not converged:
         raise NonConvergence("sweep cap hit while still improving", best=result)
     return result
@@ -750,15 +751,12 @@ def _bsa_state(rho, eig, shape, budget, seed, tol) -> BsaDecomposition:
         # pure state: Lambda is 1 for a product vector, 0 otherwise
         factors = _schmidt_factors(cols[:, 0], shape, tol)
         if factors is None:
-            return BsaDecomposition(0.0, (), np.zeros_like(rho), rho.astype(complex), 0)
-        pv = ProductVector(*factors)
-        return BsaDecomposition(1.0, ((1.0, pv),), pv.projector,
-                                np.zeros_like(rho, dtype=complex), 1)
+            return _assemble(rho, [], [], rho.astype(complex))
+        return _assemble(rho, [1.0], [ProductVector(*factors)], np.zeros_like(rho))
     Pi = cols @ cols.conj().T
     certificate = _product_free_certificate(cols, Pi, shape)
     if certificate is not None:
-        return BsaDecomposition(0.0, (), np.zeros_like(rho), rho.astype(complex), 0,
-                                certificate=certificate)
+        return _assemble(rho, [], [], rho.astype(complex), certificate)
     floor, shifted = _floor(eig)
     rng = np.random.default_rng(seed)
     V = _search_products(cols, Pi, shape, budget, int(rng.integers(1 << 31)))
@@ -795,7 +793,7 @@ def _bsa_state(rho, eig, shape, budget, seed, tol) -> BsaDecomposition:
         if len(history) >= 4 and history[-1] - history[-4] < STALL_TOL:
             break
     V_b, lam_b, delta_b = best
-    return _assemble(rho, lam_b, V_b, delta_b, len(V_b))
+    return _assemble(rho, lam_b, V_b, delta_b)
 
 
 def _regroup(D: np.ndarray, d: int) -> np.ndarray:
@@ -836,14 +834,11 @@ def kraus_factor_split(operators: Sequence[np.ndarray], shape: BipartiteShape,
     """Partition Kraus operators into product (A (x) B) and non-product sets."""
     product, rest = [], []
     for M in operators:
-        M = as_matrix(M)
-        try:
-            if product_factorize(M, shape, tol) is not None:
-                product.append(M)
-            else:
-                rest.append(M)
+        try:  # product_factorize checks M
+            is_product = product_factorize(M, shape, tol) is not None
         except ZeroMatrix:
-            product.append(M)
+            is_product = True
+        (product if is_product else rest).append(np.asarray(M, dtype=complex))
     return product, rest
 
 
@@ -870,33 +865,30 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
              for lam, pv in dec.terms]
     bsa_part = Channel.from_kraus(kraus or [np.zeros((n, n))])
     ent_part = Channel.from_choi(D - bsa_part.choi, n, n)
-    verdict = _verdict(D, bsa_part, ent_part, shape, tol, dec.lambda_total, eig)
+    verdict = _verdict(D, bsa_part, ent_part, tol, dec.lambda_total, eig[0])
     return OperationBsa(bsa_part=bsa_part, ent_part=ent_part,
                         lam=dec.lambda_total, terms=dec.terms,
                         verdict=verdict, certificate=dec.certificate)
 
 
-def _verdict(D, bsa_part: Channel, ent_part: Channel, shape: BipartiteShape,
-             tol: Tolerance, lam: float, eig) -> SeparabilityVerdict:
+def _verdict(D, bsa_part: Channel, ent_part: Channel, tol: Tolerance, lam: float,
+             w: np.ndarray) -> SeparabilityVerdict:
     """Separability verdict from a map's Choi matrix and its BSA split.
 
     Separable when the entangled remainder is numerically zero; entangled
-    when ``lam`` is 0, so that the residual is the input itself, and its
-    range, read from ``eig`` = eigh of the regrouped D over its trace (the
-    spectrum the BSA cut its range from), is one-dimensional
-    (:func:`~choiscope.numerics.range_mask`) and spanned by a non-product
-    vector; inconclusive otherwise.  For ``lam > 0`` a rank-one entangled
-    residual proves nothing: a separable input can split into a separable
-    part and an entangled pure residual.
+    when ``lam`` is 0 and the range read from ``w``, the spectrum of the
+    regrouped D over its trace that the BSA cut its range from, is
+    one-dimensional (:func:`~choiscope.numerics.range_mask`): the BSA took
+    its pure-state branch then, and found the spanning vector non-product,
+    since a product one gives ``lam = 1``.  Inconclusive otherwise.  For
+    ``lam > 0`` a rank-one entangled residual proves nothing: a separable
+    input can split into a separable part and an entangled pure residual.
     """
     norm_D = float(np.linalg.norm(D))
     norm_ent = float(np.linalg.norm(ent_part.choi))
     if norm_ent <= SEPARABLE_REMAINDER * norm_D:
-        return SeparabilityVerdict("separable",
-                                   witness_kraus=tuple(bsa_part.kraus or ()))
-    w, V = eig
-    entangled = (lam == 0.0 and np.sum(range_mask(w, tol)) == 1
-                 and _schmidt_factors(V[:, -1], shape, tol) is None)
+        return SeparabilityVerdict("separable", witness_kraus=tuple(bsa_part.kraus))
+    entangled = lam == 0.0 and np.sum(range_mask(w, tol)) == 1
     return SeparabilityVerdict("entangled" if entangled else "inconclusive",
                                ent_fraction=norm_ent / norm_D)
 

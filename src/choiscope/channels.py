@@ -153,8 +153,8 @@ class Channel:
 
     @classmethod
     def from_liouville(cls, L, d_in: int, d_out: int) -> "Channel":
-        L = as_matrix(L)
-        return cls(L, d_in, d_out, liouville_to_choi(L, d_in, d_out))
+        D = liouville_to_choi(L, d_in, d_out)  # checks L
+        return cls(np.asarray(L, dtype=complex), d_in, d_out, D)
 
     @classmethod
     def from_kraus(cls, operators: Sequence[np.ndarray], d_in: int = 0,
@@ -171,8 +171,8 @@ class Channel:
 
     @classmethod
     def from_choi(cls, D, d_in: int, d_out: int) -> "Channel":
-        D = as_matrix(D)
-        return cls(choi_to_liouville(D, d_in, d_out), d_in, d_out, D)
+        L = choi_to_liouville(D, d_in, d_out)  # checks D
+        return cls(L, d_in, d_out, np.asarray(D, dtype=complex))
 
     @property
     def choi_shape(self) -> BipartiteShape:
@@ -332,8 +332,8 @@ def tensor_channels(phi: Channel, psi: Channel) -> Channel:
     d_in, d_out = phi.d_in * psi.d_in, phi.d_out * psi.d_out
     kraus = None
     if phi.kraus is not None and psi.kraus is not None:
-        G = _kraus_stack(phi.kraus)
-        H = _kraus_stack(psi.kraus)
+        G = np.asarray(phi.kraus)
+        H = np.asarray(psi.kraus)
         # tensor(G_i, H_j)[(h, g), (h', g')] = H_j[h, h'] * G_i[g, g']
         pairs = H[None, :, :, None, :, None] * G[:, None, None, :, None, :]
         kraus = tuple(pairs.reshape(-1, d_out, d_in))

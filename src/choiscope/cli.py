@@ -165,6 +165,8 @@ def cmd_gen(args) -> int:
         raise ParseError(f"gen {name} does not read --seed")
     if args.p is not None and name != "depolarizing":
         raise ParseError(f"gen {name} does not read --p")
+    if args.p is not None and not np.isfinite(args.p):
+        raise ParseError(f"--p must be finite, got {args.p!r}")
     second = dims[-1]
     if name == "random-state":
         text = ser.dump_state(random_state(dims[0] * second, _seed(args)), (dims[0], second))

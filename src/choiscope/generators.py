@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Channel, identity_channel, transpose_channel
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import DimensionMismatch, NonFinite, ShapeMismatch
 from .reshape import swap_operator
 
 
@@ -19,6 +19,8 @@ def depolarizing_channel(N: int, p: float) -> Channel:
     """rho -> (1 - p) rho + p * tr(rho) I/N."""
     if N < 1:
         raise ShapeMismatch(f"depolarizing channel needs N >= 1, got {N}")
+    if not np.isfinite(p):
+        raise NonFinite(f"depolarizing strength must be finite, got {p!r}")
     L = (1.0 - p) * np.eye(N * N, dtype=complex)
     ident = np.eye(N, dtype=complex).reshape(-1, order="F")
     L += (p / N) * np.outer(ident, ident.conj())
@@ -43,6 +45,8 @@ def random_cp_channel(d_in: int, d_out: int, seed: int,
     The isometry's column-orthonormality makes the Kraus blocks satisfy
     sum G^dag G = I exactly, so the result is always trace preserving.
     """
+    if d_in < 1 or d_out < 1:
+        raise ShapeMismatch(f"random_cp_channel needs d_in, d_out >= 1, got {d_in}, {d_out}")
     if kraus_count < 0:
         raise ShapeMismatch(f"kraus_count must be >= 0, got {kraus_count}")
     rng = np.random.default_rng(seed)

@@ -194,9 +194,8 @@ def product_factorize(Z, shape: BipartiteShape, tol: Tolerance = DEFAULT_TOL):
     ``R(Z) = |X>><<Y*|``).  The scale split is balanced:
     ``||X||_F == ||Y||_F``.
     """
-    Z = _as_bipartite(Z, shape)
     R = realign(Z, shape)
-    if not np.any(np.abs(Z) > 0):
+    if not np.any(np.abs(R) > 0):
         raise ZeroMatrix("cannot factorize the zero matrix")
     U, s, Vh = np.linalg.svd(R)
     if tol.rank(s) != 1:

@@ -385,8 +385,7 @@ def test_verdict_ignores_rank_one_residual_when_lambda_is_positive():
     ent = Channel.from_choi(_regroup(t / 16 * Phi, 2), 4, 4)
     # the factor of that residual is what the lambda = 0 rule would read
     residual_eig = np.linalg.eigh(_regroup(ent.choi, 2))
-    verdict = _verdict(D, sep, ent, BipartiteShape(4, 4), DEFAULT_TOL, 15 / 16,
-                       residual_eig)
+    verdict = _verdict(D, sep, ent, DEFAULT_TOL, 15 / 16, residual_eig[0])
     assert verdict.kind == "inconclusive"
 
 
@@ -494,3 +493,45 @@ def test_operation_checks_cp_before_the_state_floor(min_eig, error):
     ch = Channel.from_choi((U * w) @ U.conj().T, 4, 4)
     with pytest.raises(error):
         bsa_operation(ch, 2, budget=2, seed=0)
+
+
+def test_operation_verdict_reads_the_schmidt_test_of_the_pure_branch(monkeypatch):
+    # the regrouped Choi matrix of the swap is a pure entangled state: the BSA's
+    # pure-state branch runs the one Schmidt test, and the verdict reuses it
+    from choiscope import bsa
+    calls = []
+    schmidt = bsa._schmidt_factors
+
+    def counting(*args):
+        calls.append(args)
+        return schmidt(*args)
+
+    monkeypatch.setattr(bsa, "_schmidt_factors", counting)
+    res = bsa_operation(swap_channel(2), 2, budget=2, seed=0)
+    assert len(calls) == 1
+    assert res.lam == 0.0 and res.verdict.kind == "entangled"
+
+
+def test_pure_product_state_is_assembled_like_every_result():
+    # one projector of weight 1, summed from zero: a zero entry is +0.0
+    e = np.array([0.0, 1.0], dtype=complex)
+    f = np.array([0.6, -0.8j])
+    v = tensor_vectors(e, f)
+    dec = bsa_state(np.outer(v, v.conj()), SH22, budget=5, seed=0)
+    assert dec.lambda_total == 1.0 and dec.candidate_set_size == 1
+    assert len(dec.terms) == 1 and dec.terms[0][0] == 1.0
+    assert np.allclose(dec.separable_part, np.outer(v, v.conj()), atol=1e-15)
+    zero = dec.separable_part == 0
+    assert zero.any()
+    assert not np.signbit(dec.separable_part.real[zero]).any()
+    assert not np.signbit(dec.separable_part.imag[zero]).any()
+    assert not dec.residual.any()
+
+
+@pytest.mark.parametrize("call", [
+    lambda rho: bsa_state(rho, BipartiteShape(2, 3), budget=5, seed=0),
+    lambda rho: candidate_products(rho, BipartiteShape(2, 3), 5, 0),
+])
+def test_bsa_inputs_of_the_wrong_dimension_are_not_states(call):
+    with pytest.raises(NotAState, match="expected dim 6"):
+        call(random_state(4, 1))

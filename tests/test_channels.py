@@ -8,7 +8,8 @@ from choiscope.channels import (Channel, apply, choi_to_kraus,
                                 superop_hs_inner, tensor_channels,
                                 transpose_channel, transpose_conjugations,
                                 validate)
-from choiscope.errors import NotCompletelyPositive, ShapeMismatch
+from choiscope.errors import (DimensionMismatch, NonFinite, NotCompletelyPositive,
+                              ShapeMismatch)
 from choiscope.generators import (depolarizing_channel, random_cp_channel,
                                   random_product_mixture, random_state,
                                   swap_channel)
@@ -208,7 +209,10 @@ def test_conversions_reject_dimensions_that_do_not_fit(d_in, d_out):
                                   lambda: random_product_mixture(2, 0, 3, 1),
                                   lambda: random_cp_channel(2, 2, 1, kraus_count=-1),
                                   lambda: BipartiteShape(2.5, 2),
-                                  lambda: BipartiteShape(2, 2.0)])
+                                  lambda: BipartiteShape(2, 2.0),
+                                  lambda: random_cp_channel(3, 0, 1),
+                                  lambda: random_cp_channel(0, 2, 1),
+                                  lambda: random_cp_channel(0, 0, 1)])
 def test_generators_reject_empty_sizes(make):
     # not a ZeroDivisionError, nor an all-NaN or zero "state"
     with pytest.raises(ShapeMismatch):
@@ -276,3 +280,40 @@ def test_tensor_channels_choi_is_the_factor_broadcast():
         want = tensor_choi_broadcast(phi, psi)
         assert D.shape == want.shape
         assert D.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d_in,d_out", [(3, 0), (0, 2), (0, 0)])
+def test_random_cp_channel_names_itself_in_its_size_errors(d_in, d_out):
+    with pytest.raises(ShapeMismatch, match="random_cp_channel"):
+        random_cp_channel(d_in, d_out, 1)
+
+
+def test_random_cp_channel_needs_an_environment_for_its_isometry():
+    # two 1 x 4 Kraus blocks stack to a 2 x 4 matrix, which has no orthonormal columns
+    with pytest.raises(DimensionMismatch, match="environment too small"):
+        random_cp_channel(4, 1, 1, kraus_count=2)
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+def test_depolarizing_strength_must_be_finite(p):
+    with pytest.raises(NonFinite, match="depolarizing strength"):
+        depolarizing_channel(2, p)
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda: Channel.from_kraus([np.eye(2)], d_in=3), DimensionMismatch, "expected (2, 3)"),
+    (lambda: Channel.from_kraus([np.ones((3, 2))], d_out=2), DimensionMismatch, "expected (2, 2)"),
+    (lambda: apply(identity_channel(2), np.eye(3)), ShapeMismatch, "channel input dim is 2"),
+    (lambda: compose(random_cp_channel(3, 2, 1), identity_channel(2)), ShapeMismatch,
+     "inner dimensions 3 != 2"),
+    (lambda: mix([1.0], [identity_channel(2), identity_channel(2)]), ShapeMismatch,
+     "one coefficient per channel"),
+    (lambda: mix([0.5, 0.5], [identity_channel(2), identity_channel(3)]), ShapeMismatch,
+     "share dimensions"),
+    (lambda: transpose_conjugations(random_cp_channel(2, 3, 1), "left"), ShapeMismatch,
+     "square channel"),
+])
+def test_channel_calculus_raises_typed_errors(call, error, fragment):
+    with pytest.raises(error) as raised:
+        call()
+    assert fragment in str(raised.value)

@@ -490,3 +490,21 @@ def test_convert_rejects_bad_tol(tmp_path, capsys, value):
                      "--tol", value)
     assert code == EXIT_IO and text is None
     assert capsys.readouterr().err.startswith("error: --tol must be positive and finite")
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+def test_gen_depolarizing_rejects_a_non_finite_strength(tmp_path, capsys, p):
+    code, text = run(tmp_path, "gen", "depolarizing", "2", f"--p={p}")
+    assert code == EXIT_IO and text is None
+    assert capsys.readouterr().err.startswith("error: --p must be finite")
+
+
+@pytest.mark.parametrize("p,want", [("2", EXIT_INVALID), ("-0.1", EXIT_INVALID),
+                                    ("1.3", EXIT_OK), (str(4 / 3), EXIT_OK)])
+def test_gen_depolarizing_is_cp_up_to_the_full_twirl(tmp_path, p, want):
+    # at N = 2 the map is CP for 0 <= p <= N^2 / (N^2 - 1) = 4/3; outside, gen's
+    # Kraus output raises NotCompletelyPositive
+    code, text = run(tmp_path, "gen", "depolarizing", "2", "--p", p)
+    assert code == want
+    assert (text is not None) == (want == EXIT_OK)
+

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from choiscope.errors import NonFinite, NotHermitian, NotPsd
+from choiscope.errors import NonFinite, NotHermitian, NotPsd, ShapeMismatch
 from choiscope.numerics import (DEFAULT_TOL, HERMITIAN_GAP_ROWS, Tolerance,
                                 as_matrix, check_hermitian, eig_hermitian,
                                 frobenius_norm, hermitian_gap, hs_inner,
                                 is_psd, min_eigenvalue, pseudo_inverse,
-                                svd_rank)
+                                svd_rank, validate_state)
 
 from conftest import random_complex, random_psd
 
@@ -93,3 +93,9 @@ def test_hs_inner_and_norm(rng):
     B = random_complex(rng, 4, 4)
     assert abs(hs_inner(A, B) - np.trace(A.conj().T @ B)) < 1e-12
     assert abs(frobenius_norm(A) ** 2 - hs_inner(A, A).real) < 1e-10
+
+
+@pytest.mark.parametrize("check", [check_hermitian, validate_state])
+def test_state_checks_reject_a_non_square_matrix(check):
+    with pytest.raises(ShapeMismatch, match=r"\(2, 3\), not square"):
+        check(np.ones((2, 3)))

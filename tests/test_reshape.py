@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiscope.errors import ShapeMismatch, ZeroMatrix
+from choiscope.errors import NonSquareSubsystems, ShapeMismatch, ZeroMatrix
 from choiscope.numerics import svd_rank
 from choiscope.reshape import (BipartiteShape, devectorize, flip, flip_col,
                                flip_row, middle_swap, partial_trace_A,
@@ -195,3 +195,13 @@ def test_tensor_vec_identity(rng):
         assert tensor_vec_identity_check(X, Y)
     with pytest.raises(ShapeMismatch):
         tensor_vec_identity_check(np.eye(2), np.eye(3))
+
+
+def test_devectorize_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ShapeMismatch, match="length 5 cannot fill a 2x3"):
+        devectorize(np.ones(5), 2, 3)
+
+
+def test_flip_needs_equal_parties():
+    with pytest.raises(NonSquareSubsystems, match="d_A == d_B"):
+        flip(np.eye(6), BipartiteShape(2, 3))

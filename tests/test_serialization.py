@@ -10,7 +10,7 @@ from choiscope.errors import ParseError
 from choiscope.generators import random_cp_channel, random_state
 from choiscope.serialization import (_lists_to_matrix, canonical_dumps,
                                      dump_channel, dump_file, dump_state,
-                                     load_path, parse_text)
+                                     load_path, parse_bytes, parse_text)
 
 from conftest import random_complex
 from oracles import dump_file_elementwise, lists_to_matrix_elementwise
@@ -272,3 +272,16 @@ def test_parse_names_first_bad_entry_after_good_rows(number):
         parse_text(text)
     assert str(got.value) == ("data[1][1]: expected an [re, im] pair "
                               "of finite numbers")
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: canonical_dumps({"x": object()}), "cannot serialize object"),
+    (lambda: dump_file("unitary", (2, 2), [np.eye(2)]), "unknown kind 'unitary'"),
+    (lambda: dump_channel(random_cp_channel(2, 2, 1), "unitary"),
+     "unknown channel kind 'unitary'"),
+    (lambda: parse_bytes(b'{"kind": "\xff"}'), "not UTF-8 text: byte 10"),
+])
+def test_serialization_raises_parse_errors(call, fragment):
+    with pytest.raises(ParseError) as raised:
+        call()
+    assert fragment in str(raised.value)

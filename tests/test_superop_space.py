@@ -185,3 +185,8 @@ def test_basis_maps_reject_mismatched_dimensions():
     for call in calls:
         with pytest.raises(ShapeMismatch):
             call()
+
+
+def test_operator_basis_needs_n_squared_elements():
+    with pytest.raises(ShapeMismatch, match="N\\^2 square"):
+        OperatorBasis((np.eye(2), np.eye(2)))
