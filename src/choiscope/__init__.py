@@ -16,7 +16,7 @@ from .channels import (Channel, ValidationReport, apply, choi_to_kraus,
                        liouville_to_choi, mix, tensor_channels,
                        transpose_channel, validate)
 from .errors import (CandidateOutsideRange, ChoiscopeError,
-                     DimensionMismatch, NonConvergence, NonFinite,
+                     DimensionMismatch, InvalidArgument, NonConvergence, NonFinite,
                      NonSquareSubsystems, NotAState,
                      NotCompletelyPositive, NotHermitian, NotOrthonormal,
                      NotPsd, ParseError, ShapeMismatch, ZeroMatrix)

@@ -8,7 +8,7 @@ set of product vectors, with single-projector and projector-pair weight
 updates; the subtractable weight of one projector has the closed form
 ``1 / <psi| rho^+ |psi>`` when ``psi`` lies in the range of ``rho``.  Each
 input has one floor, ``-ASCENT_FLOOR`` below min(0, lambda_min(rho)), read
-from the ``eigh`` of its state check (``_floor``).  The ascent, the barrier's
+from the ``eigh`` of its state check (``_Input``).  The ascent, the barrier's
 rescale, ``max_lambda`` and ``max_pair`` keep every residual above it.
 
 Before any of that, ``bsa_state`` asks whether range(rho) can hold a
@@ -33,10 +33,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import Channel, _kraus_stack
-from .errors import (CandidateOutsideRange, DimensionMismatch, NonConvergence,
-                     NonFinite, NotAState, NotCompletelyPositive,
+from .errors import (CandidateOutsideRange, DimensionMismatch, InvalidArgument,
+                     NonConvergence, NonFinite, NotAState, NotCompletelyPositive,
                      ShapeMismatch, ZeroMatrix)
-from .numerics import DEFAULT_TOL, Tolerance, check_hermitian, range_mask
+from .numerics import DEFAULT_TOL, Tolerance, check_hermitian, check_seed, range_mask
 from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
                       tensor, tensor_vectors)
 
@@ -44,7 +44,7 @@ from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
 # default because weights are accumulated over many subtractions.
 RANGE_TOL = 1e-9
 RESIDUAL_MIN_EIG = -1e-8
-# Each BSA input's floor lies -ASCENT_FLOOR below min(0, lambda_min(rho)) (_floor);
+# Each BSA input's floor lies -ASCENT_FLOOR below min(0, lambda_min(rho)) (_Input);
 # at RESIDUAL_MIN_EIG / 10 the ascent's weights exceed max_lambda's by 1.1e-7.
 ASCENT_FLOOR = RESIDUAL_MIN_EIG / 100
 # Terms above WEIGHTED_TERM steer the sweeps and refinement seeds, those above
@@ -121,12 +121,30 @@ class OperationBsa:
     certificate: Optional[str] = None  # as in BsaDecomposition
 
 
-def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None):
-    """The Hermitian part of a valid BSA input and its one ``eigh`` pair; with
-    ``choi_trace`` the input is a map's regrouped Choi matrix over that trace,
-    a Hermitian gap raises ``NotCompletelyPositive`` and the CP floor, in the
-    map's scale, is checked first.  Each check is :meth:`Tolerance.allows_gap`
-    or :meth:`Tolerance.psd_floor`, with an atol of at least ``-RESIDUAL_MIN_EIG``."""
+@dataclass(frozen=True)
+class _Input:
+    """A checked BSA input, from its one ``eigh`` (w, V): the Hermitian part
+    ``rho``, the ascending spectrum ``w``, the :func:`~choiscope.numerics.range_mask`
+    factor ``range`` = (w[keep], V[:, keep]), its projector ``Pi``, the ``floor``
+    min(0, w[0]) + ``ASCENT_FLOOR`` and ``shifted`` = (w - floor, V), a factor of
+    rho - floor*I.  Built only by ``_check_state``."""
+
+    rho: np.ndarray
+    w: np.ndarray
+    range: tuple
+    Pi: np.ndarray
+    floor: float
+    shifted: tuple
+
+
+def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None,
+                 shape: Optional[BipartiteShape] = None) -> _Input:
+    """The ``_Input`` of a valid BSA input; with ``choi_trace`` the input is a
+    map's regrouped Choi matrix over that trace, a Hermitian gap raises
+    ``NotCompletelyPositive`` and the CP floor, in the map's scale, is checked
+    first; with ``shape``, a matrix that is not ``shape.dim`` square is
+    ``NotAState``.  Each check is :meth:`Tolerance.allows_gap` or
+    :meth:`Tolerance.psd_floor`, with an atol of at least ``-RESIDUAL_MIN_EIG``."""
     input_tol = Tolerance(atol=max(-RESIDUAL_MIN_EIG, tol.atol), rtol=tol.rtol)
     try:
         rho = check_hermitian(rho, input_tol)
@@ -139,28 +157,18 @@ def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None):
         raise NotCompletelyPositive("bsa_operation requires a CP map")
     if w[0] < input_tol.psd_floor(w):
         raise NotAState(f"min eigenvalue {w[0]:.3e} below feasibility tolerance")
-    return rho, (w, V)
-
-
-def _range(rho: np.ndarray, tol: Tolerance, eig=None):
-    """The :func:`~choiscope.numerics.range_mask` eigenvalues and eigenvectors
-    of rho, or of eig = eigh(rho)."""
-    w, V = np.linalg.eigh(rho) if eig is None else eig
+    if shape is not None and rho.shape != (shape.dim, shape.dim):
+        raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
     keep = range_mask(w, tol)
-    return w[keep], V[:, keep]
+    cols = V[:, keep]
+    floor = min(0.0, float(w[0])) + ASCENT_FLOOR
+    return _Input(rho, w, (w[keep], cols), cols @ cols.conj().T, floor, (w - floor, V))
 
 
 def _shifted_factor(M: np.ndarray, floor: float):
     """(w - floor, V) from eigh(M), a factor of M - floor*I, or None if w[0] <= floor."""
     w, V = np.linalg.eigh(M)
     return None if w[0] <= floor else (w - floor, V)
-
-
-def _floor(eig):
-    """The floor of a BSA input from eig = (w, V) = eigh(rho), and (w - floor, V)."""
-    w, V = eig
-    floor = min(0.0, float(w[0])) + ASCENT_FLOOR
-    return floor, (w - floor, V)
 
 
 def _max_lambda_raw(factor, psi: np.ndarray) -> float:
@@ -191,17 +199,17 @@ def max_lambda(rho, psi, tol: Tolerance = DEFAULT_TOL) -> float:
     """Largest Lambda with rho - Lambda |psi><psi| still PSD.
 
     Zero when psi has a component outside range(rho) beyond tolerance,
-    otherwise ``1 / <psi| rho^+ |psi>`` capped at the weight ``_floor`` allows.
+    otherwise ``1 / <psi| rho^+ |psi>`` capped at the weight the floor allows.
     """
-    rho, eig = _check_state(rho, tol)
-    psi = _unit_vector(psi, rho.shape[0])
-    return min(_max_lambda_raw(f, psi) for f in (_range(rho, tol, eig), _floor(eig)[1]))
+    inp = _check_state(rho, tol)
+    psi = _unit_vector(psi, inp.rho.shape[0])
+    return min(_max_lambda_raw(f, psi) for f in (inp.range, inp.shifted))
 
 
 def max_lambda_bisection(rho, psi, iterations: int = 60,
                          tol: Tolerance = DEFAULT_TOL) -> float:
     """Independent oracle: bisect Lambda on the PSD feasibility predicate."""
-    rho, _ = _check_state(rho, tol)
+    rho = _check_state(rho, tol).rho
     psi = _unit_vector(psi, rho.shape[0])
     P = np.outer(psi, psi.conj())
 
@@ -230,25 +238,24 @@ def max_pair(rho, psi1, psi2, tol: Tolerance = DEFAULT_TOL):
     """Pair of weights maximizing their sum with both subtractions feasible.
 
     Closed form; see ``_max_pair_raw``.  The optimum on the range factor is
-    kept while its residual stays above the floor (``_floor``), otherwise the
+    kept while its residual stays above the floor (``_Input``), otherwise the
     optimum on the shifted factor of rho - floor*I is returned.
     """
-    rho, eig = _check_state(rho, tol)
-    psi1 = _unit_vector(psi1, rho.shape[0])
-    psi2 = _unit_vector(psi2, rho.shape[0])
+    inp = _check_state(rho, tol)
+    psi1 = _unit_vector(psi1, inp.rho.shape[0])
+    psi2 = _unit_vector(psi2, inp.rho.shape[0])
     if abs(np.vdot(psi1, psi2)) ** 2 > 1.0 - 1e-12:
-        raise ValueError("max_pair requires two distinct projectors")
-    l1, l2 = _max_pair_raw(_range(rho, tol, eig), psi1, psi2)
-    shifted = _floor(eig)[1]
+        raise InvalidArgument("max_pair requires psi1 and psi2 to be distinct projectors")
+    l1, l2 = _max_pair_raw(inp.range, psi1, psi2)
     sigma = l1 * np.outer(psi1, psi1.conj()) + l2 * np.outer(psi2, psi2.conj())
-    if _psd_scale(shifted, sigma) == 1.0:
+    if _psd_scale(inp.shifted, sigma) == 1.0:
         return l1, l2
-    return _max_pair_raw(shifted, psi1, psi2)
+    return _max_pair_raw(inp.shifted, psi1, psi2)
 
 
 def _max_pair_raw(factor, psi1, psi2):
-    """max l1 + l2 with rho - l1*P1 - l2*P2 PSD, from a ``_range`` or
-    ``_shifted_factor`` factor of rho; psi1, psi2 unit.
+    """max l1 + l2 with rho - l1*P1 - l2*P2 PSD, from the ``_Input.range`` or
+    a ``_shifted_factor`` factor of rho; psi1, psi2 unit.
 
     On the factor's span the constraint is a 2x2 condition on a = <1|rho^+|1>,
     b = <2|rho^+|2> and c = |<1|rho^+|2>|, so the optimum is the best of
@@ -338,7 +345,7 @@ def _product_free_certificate(cols: np.ndarray, Pi: np.ndarray,
                               shape: BipartiteShape) -> Optional[str]:
     """Name of a bound proving range(cols) holds no product vector, or None.
 
-    ``cols`` is an orthonormal basis of the range (the ``_range``
+    ``cols`` is an orthonormal basis of the range (the ``_Input.range``
     columns) and ``Pi`` its projector.  A full range is never excluded.
 
     Level 1, ``"realignment"``: ``_realignment_excludes_products``.
@@ -390,14 +397,12 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     Otherwise see ``_search_products``; ``max_attempts`` defaults to
     ``40 * count``.
     """
-    rho, eig = _check_state(rho, tol)
-    if rho.shape != (shape.dim, shape.dim):
-        raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
-    _, cols = _range(rho, tol, eig)
-    Pi = cols @ cols.conj().T
-    if count > 0 and _product_free_certificate(cols, Pi, shape) is not None:
+    check_seed(seed)
+    inp = _check_state(rho, tol, shape=shape)
+    cols = inp.range[1]
+    if count > 0 and _product_free_certificate(cols, inp.Pi, shape) is not None:
         return []
-    return _search_products(cols, Pi, shape, count, seed, max_attempts)
+    return _search_products(cols, inp.Pi, shape, count, seed, max_attempts)
 
 
 def _search_products(cols: np.ndarray, Pi: np.ndarray, shape: BipartiteShape,
@@ -478,17 +483,18 @@ def _residual(rho, lambdas, projs) -> np.ndarray:
     return delta
 
 
-def _ascend(rho, floor, V, lambdas, shape, rng, max_sweeps=500,
+def _ascend(inp, V, lambdas, shape, rng, max_sweeps=500,
             sweep_tol=1e-9, vector_update=False, trace=None):
     """Coordinate-ascent engine over product projectors.
 
     Sweeps single-projector weight updates, then a random subset of
     projector-pair updates, optionally re-optimizing the product vectors
     of weighted terms in place.  Each update reads the ``_shifted_factor`` at
-    rho's ``floor`` (``_floor``), or is skipped, so the residual stays above
+    the input's floor (``_Input``), or is skipped, so the residual stays above
     floor*I.  The total weight is nondecreasing.  Mutates ``V`` and
     ``lambdas``; returns the residual and whether the sweeps converged.
     """
+    rho, floor = inp.rho, inp.floor
     vecs = [pv.vector for pv in V]
     projs = [np.outer(v, v.conj()) for v in vecs]
     delta = _residual(rho, lambdas, projs)
@@ -572,13 +578,13 @@ def _barrier_ascent(rho, x, sigma_of, maxiter: int) -> np.ndarray:
 
 
 def _psd_scale(shifted, sigma) -> float:
-    """Largest t in [0, 1] with rho - t*sigma >= floor*I, given the ``_floor``
+    """Largest t in [0, 1] with rho - t*sigma >= floor*I, given the ``_Input``
     factor (S, V) of rho - floor*I: t*lambda_max(S^-1/2 V^dag sigma V S^-1/2) <= 1."""
     B = shifted[1] / np.sqrt(shifted[0])
     return 1.0 / max(1.0, float(np.linalg.eigvalsh(B.conj().T @ sigma @ B)[-1]))
 
 
-def _fixed_weights_barrier(rho, shifted, vecs, rng) -> np.ndarray:
+def _fixed_weights_barrier(inp, vecs, rng) -> np.ndarray:
     """Near-optimal weights for a fixed projector set.
 
     max sum(w) subject to rho - sum w_k P_k PSD, w >= 0 is convex; the
@@ -597,9 +603,9 @@ def _fixed_weights_barrier(rho, shifted, vecs, rng) -> np.ndarray:
 
         return sigma, float(np.sum(w)), pullback
 
-    x = _barrier_ascent(rho, 1e-3 * (1.0 + rng.random(Vm.shape[0])), sigma_of,
+    x = _barrier_ascent(inp.rho, 1e-3 * (1.0 + rng.random(Vm.shape[0])), sigma_of,
                         maxiter=400)
-    return x * x * _psd_scale(shifted, sigma_of(x)[0])
+    return x * x * _psd_scale(inp.shifted, sigma_of(x)[0])
 
 
 def osa_fixed_set(rho, V: Sequence[ProductVector],
@@ -614,25 +620,24 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
     weight stalls.  The total is nondecreasing across sweeps and the
     residual stays PSD within the feasibility tolerance.
     """
-    rho, eig = _check_state(rho, tol)
+    check_seed(seed)
+    inp = _check_state(rho, tol)
+    rho = inp.rho
     V = list(V)
     if any(pv.e.size * pv.f.size != rho.shape[0] for pv in V):
         raise ShapeMismatch(f"candidates must have the state's dimension {rho.shape[0]}")
-    _, cols = _range(rho, tol, eig)
-    Pi = cols @ cols.conj().T
     for pv in V:
         v = pv.vector
-        if float(np.vdot(v, Pi @ v).real) < PRODUCT_OVERLAP:
+        if float(np.vdot(v, inp.Pi @ v).real) < PRODUCT_OVERLAP:
             raise CandidateOutsideRange("candidate outside range of rho")
     if not V:
         return _assemble(rho, [], [], rho.astype(complex))
     rng = np.random.default_rng(seed)
-    floor, shifted = _floor(eig)
     # warm start from the barrier solution of the (convex) fixed-set
     # weight problem; the sweeps then certify feasibility and the
     # coordinate-maximality exit conditions
-    lambdas = _fixed_weights_barrier(rho, shifted, [pv.vector for pv in V], rng)
-    delta, converged = _ascend(rho, floor, V, lambdas, None, rng,
+    lambdas = _fixed_weights_barrier(inp, [pv.vector for pv in V], rng)
+    delta, converged = _ascend(inp, V, lambdas, None, rng,
                                max_sweeps=max_sweeps, sweep_tol=sweep_tol,
                                vector_update=False, trace=trace)
     result = _assemble(rho, lambdas, V, delta)
@@ -651,7 +656,7 @@ def _schmidt_factors(v: np.ndarray, shape: BipartiteShape, tol: Tolerance):
     return U[:, 0], Vh[0, :]
 
 
-def _barrier_terms(rho, shifted, shape: BipartiteShape, K: int, rng,
+def _barrier_terms(inp, shape: BipartiteShape, K: int, rng,
                    init_terms=()) -> list:
     """Weighted product directions from a log-det barrier ascent.
 
@@ -695,14 +700,14 @@ def _barrier_terms(rho, shifted, shape: BipartiteShape, K: int, rng,
         b0[k] = scale * pv.f
     x = np.concatenate([a0.real.ravel(), a0.imag.ravel(),
                         b0.real.ravel(), b0.imag.ravel()])
-    a, b = unpack(_barrier_ascent(rho, x, sigma_of, maxiter=300))
+    a, b = unpack(_barrier_ascent(inp.rho, x, sigma_of, maxiter=300))
     weights = (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)) ** 2
     terms = [(float(w), ProductVector(a[k], b[k]))
              for k, w in enumerate(weights) if w > KEPT_TERM]
     if not terms:
         return []
-    # global rescale onto rho - sigma >= floor*I; shifted is the _floor factor
-    t = _psd_scale(shifted, sum(w * pv.projector for w, pv in terms))
+    # global rescale onto rho - sigma >= floor*I
+    t = _psd_scale(inp.shifted, sum(w * pv.projector for w, pv in terms))
     return [(w * t, pv) for w, pv in terms]
 
 
@@ -732,38 +737,36 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
     ``_product_free_certificate`` proves that range(rho) holds no product
     vector, Lambda = 0 is optimal and the result, with no terms and the
     residual rho itself, names that certificate; nothing is searched or
-    seeded.
+    seeded.  Budget 0 gives that result without a certificate.
     """
     if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    rho, eig = _check_state(rho, tol)
-    if rho.shape != (shape.dim, shape.dim):
-        raise NotAState(f"state is {rho.shape}, expected dim {shape.dim}")
-    if abs(np.trace(rho).real - 1.0) > UNIT_TRACE_TOL:
+        raise InvalidArgument(f"budget must be >= 0, got {budget}")
+    check_seed(seed)
+    inp = _check_state(rho, tol, shape=shape)
+    if abs(np.trace(inp.rho).real - 1.0) > UNIT_TRACE_TOL:
         raise NotAState("bsa_state expects a normalized (trace-1) state")
-    return _bsa_state(rho, eig, shape, budget, seed, tol)
+    return _bsa_state(inp, shape, budget, seed, tol)
 
 
-def _bsa_state(rho, eig, shape, budget, seed, tol) -> BsaDecomposition:
-    """The BSA of ``bsa_state`` on a checked state and its ``eigh`` pair."""
-    w, cols = _range(rho, tol, eig)
+def _bsa_state(inp, shape, budget, seed, tol) -> BsaDecomposition:
+    """The BSA of ``bsa_state`` on a checked state (``_check_state``)."""
+    rho = inp.rho
+    w, cols = inp.range
     if w.size == 1:
         # pure state: Lambda is 1 for a product vector, 0 otherwise
         factors = _schmidt_factors(cols[:, 0], shape, tol)
         if factors is None:
             return _assemble(rho, [], [], rho.astype(complex))
         return _assemble(rho, [1.0], [ProductVector(*factors)], np.zeros_like(rho))
-    Pi = cols @ cols.conj().T
-    certificate = _product_free_certificate(cols, Pi, shape)
-    if certificate is not None:
+    certificate = _product_free_certificate(cols, inp.Pi, shape)
+    if certificate is not None or budget == 0:
         return _assemble(rho, [], [], rho.astype(complex), certificate)
-    floor, shifted = _floor(eig)
     rng = np.random.default_rng(seed)
-    V = _search_products(cols, Pi, shape, budget, int(rng.integers(1 << 31)))
+    V = _search_products(cols, inp.Pi, shape, budget, int(rng.integers(1 << 31)))
     lambdas = np.zeros(len(V))
     # looser sweep settings than the certifying fixed-set solver: the
     # refinement rounds below recover far more than late-sweep noise gains
-    delta, _ = _ascend(rho, floor, V, lambdas, shape, rng,
+    delta, _ = _ascend(inp, V, lambdas, shape, rng,
                        max_sweeps=150, sweep_tol=1e-8)
     best = (list(V), np.asarray(lambdas).copy(), delta)
     history = [float(np.sum(lambdas))]
@@ -775,17 +778,17 @@ def _bsa_state(rho, eig, shape, budget, seed, tol) -> BsaDecomposition:
         V_b, lam_b, _ = best
         seeds = sorted(((lam_b[i], V_b[i]) for i in range(len(V_b))
                         if lam_b[i] > WEIGHTED_TERM), key=lambda t: -t[0])
-        proposal = _barrier_terms(rho, shifted, shape, K, rng, seeds)
+        proposal = _barrier_terms(inp, shape, K, rng, seeds)
         V2 = [pv for _, pv in proposal]
         lam2 = np.array([w for w, _ in proposal])
-        fill = _search_products(cols, Pi, shape, max(0, budget - len(V2)),
+        fill = _search_products(cols, inp.Pi, shape, max(0, budget - len(V2)),
                                 int(rng.integers(1 << 31)),
                                 max_attempts=8 * budget)
         V2 += fill
         lam2 = np.concatenate([lam2, np.zeros(len(fill))])
         if len(V2) == 0:
             break
-        delta2, _ = _ascend(rho, floor, V2, lam2, shape, rng, vector_update=True,
+        delta2, _ = _ascend(inp, V2, lam2, shape, rng, vector_update=True,
                             max_sweeps=60, sweep_tol=1e-8)
         if float(np.sum(lam2)) > float(np.sum(best[1])):
             best = (list(V2), lam2.copy(), delta2)
@@ -846,7 +849,8 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
                   seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> OperationBsa:
     """BSA of a CP map on a d (x) d bipartite system via its Choi matrix."""
     if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+        raise InvalidArgument(f"budget must be >= 0, got {budget}")
+    check_seed(seed)
     n = d * d
     if channel.d_in != n or channel.d_out != n:
         raise DimensionMismatch(
@@ -857,28 +861,26 @@ def bsa_operation(channel: Channel, d: int, budget: int = 500,
     trace = float(np.trace(E).real)
     if trace <= 0:
         raise NotCompletelyPositive("zero map has no BSA")
-    rho_E, eig = _check_state(E / trace, tol, trace)
-    shape = BipartiteShape(n, n)
-    dec = _bsa_state(rho_E, eig, shape, budget, seed, tol)
+    inp = _check_state(E / trace, tol, trace)
+    dec = _bsa_state(inp, BipartiteShape(n, n), budget, seed, tol)
     kraus = [np.sqrt(trace * lam) * tensor(devectorize(pv.e, d, d),
                                            devectorize(pv.f, d, d))
              for lam, pv in dec.terms]
     bsa_part = Channel.from_kraus(kraus or [np.zeros((n, n))])
     ent_part = Channel.from_choi(D - bsa_part.choi, n, n)
-    verdict = _verdict(D, bsa_part, ent_part, tol, dec.lambda_total, eig[0])
+    verdict = _verdict(D, bsa_part, ent_part, dec.lambda_total, inp.range[0].size)
     return OperationBsa(bsa_part=bsa_part, ent_part=ent_part,
                         lam=dec.lambda_total, terms=dec.terms,
                         verdict=verdict, certificate=dec.certificate)
 
 
-def _verdict(D, bsa_part: Channel, ent_part: Channel, tol: Tolerance, lam: float,
-             w: np.ndarray) -> SeparabilityVerdict:
+def _verdict(D, bsa_part: Channel, ent_part: Channel, lam: float,
+             rank: int) -> SeparabilityVerdict:
     """Separability verdict from a map's Choi matrix and its BSA split.
 
     Separable when the entangled remainder is numerically zero; entangled
-    when ``lam`` is 0 and the range read from ``w``, the spectrum of the
-    regrouped D over its trace that the BSA cut its range from, is
-    one-dimensional (:func:`~choiscope.numerics.range_mask`): the BSA took
+    when ``lam`` is 0 and ``rank``, the dimension of the range the BSA cut
+    from the regrouped D over its trace, is 1: the BSA took
     its pure-state branch then, and found the spanning vector non-product,
     since a product one gives ``lam = 1``.  Inconclusive otherwise.  For
     ``lam > 0`` a rank-one entangled residual proves nothing: a separable
@@ -888,7 +890,7 @@ def _verdict(D, bsa_part: Channel, ent_part: Channel, tol: Tolerance, lam: float
     norm_ent = float(np.linalg.norm(ent_part.choi))
     if norm_ent <= SEPARABLE_REMAINDER * norm_D:
         return SeparabilityVerdict("separable", witness_kraus=tuple(bsa_part.kraus))
-    entangled = lam == 0.0 and np.sum(range_mask(w, tol)) == 1
+    entangled = lam == 0.0 and rank == 1
     return SeparabilityVerdict("entangled" if entangled else "inconclusive",
                                ent_fraction=norm_ent / norm_D)
 

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonFinite, NotCompletelyPositive,
-                     ShapeMismatch)
+from .errors import (DimensionMismatch, InvalidArgument, NonFinite,
+                     NotCompletelyPositive, ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eig_hermitian,
                        hermitian_gap, hs_inner, range_mask)
 from .reshape import (BipartiteShape, _blocks, devectorize, flip, flip_col,
@@ -218,7 +218,7 @@ def apply(channel: Channel, rho, route: str = "auto") -> np.ndarray:
     if route == "choi":
         block = channel.choi @ tensor(np.eye(channel.d_out), rho.T)
         return partial_trace_B(block, channel.choi_shape)
-    raise ValueError(f"unknown route {route!r}")
+    raise InvalidArgument(f"unknown route {route!r}")
 
 
 @dataclass(frozen=True)
@@ -366,7 +366,7 @@ def transpose_conjugations(channel: Channel, mode: str) -> Channel:
         raise ShapeMismatch("transpose conjugation requires a square channel")
     flips = {"left": flip_row, "right": flip_col, "both": flip}
     if mode not in flips:
-        raise ValueError(f"mode must be 'left', 'right' or 'both', got {mode!r}")
+        raise InvalidArgument(f"mode must be 'left', 'right' or 'both', got {mode!r}")
     L = flips[mode](channel.liouville, BipartiteShape(channel.d_in, channel.d_in))
     return Channel.from_liouville(L, channel.d_in, channel.d_out)
 

@@ -5,6 +5,11 @@ class ChoiscopeError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(ChoiscopeError, ValueError):
+    """An argument outside its domain: a negative budget or seed, an unknown
+    mode name, a negative or non-finite tolerance."""
+
+
 class NonFinite(ChoiscopeError):
     """Input contains NaN or infinite entries."""
 

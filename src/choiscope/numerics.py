@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotHermitian, NotPsd, ShapeMismatch
+from .errors import InvalidArgument, NonFinite, NotHermitian, NotPsd, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,10 @@ class Tolerance:
     rtol: float = 1e-9
 
     def __post_init__(self):
-        if not (np.isfinite(self.atol) and np.isfinite(self.rtol)):
-            raise ValueError("tolerances must be finite")
-        if self.atol < 0 or self.rtol < 0:
-            raise ValueError("tolerances must be non-negative")
+        for name in ("atol", "rtol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise InvalidArgument(f"{name} must be finite and >= 0, got {value!r}")
 
     def bound(self, scale: float) -> float:
         return float(self.atol + self.rtol * scale)
@@ -47,6 +47,14 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def check_seed(seed) -> None:
+    """Raise ``InvalidArgument`` for a negative integer seed, which
+    ``numpy.random.default_rng`` would reject with a raw ``ValueError``."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+
 
 # Row-block height of ``hermitian_gap``: a 64-row strip of a 625 x 625
 # complex matrix is 640 kB, so each strip's temporaries stay in cache.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonSquareSubsystems, ShapeMismatch, ZeroMatrix
+from .errors import InvalidArgument, NonSquareSubsystems, ShapeMismatch, ZeroMatrix
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix
 
 
@@ -153,7 +153,7 @@ def partial_transpose(Z, shape: BipartiteShape, which: str = "both") -> np.ndarr
     elif which == "both":
         out = blocks.transpose(2, 3, 0, 1)
     else:
-        raise ValueError(f"which must be 'A', 'B' or 'both', got {which!r}")
+        raise InvalidArgument(f"which must be 'A', 'B' or 'both', got {which!r}")
     return out.reshape(Z.shape)
 
 

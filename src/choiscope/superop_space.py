@@ -21,7 +21,7 @@ import numpy as np
 from .channels import Channel
 from .errors import NotOrthonormal, ShapeMismatch
 from .generators import random_unitary
-from .numerics import as_matrix, hs_inner
+from .numerics import as_matrix, check_seed, hs_inner
 from .reshape import BipartiteShape, realign, realign_inverse, tensor, vectorize
 
 
@@ -75,6 +75,7 @@ def elementary_basis(N: int) -> OperatorBasis:
 
 def rotated_basis(N: int, seed: int) -> OperatorBasis:
     """The basis whose columns are the Haar-random ``random_unitary(N^2)``."""
+    check_seed(seed)
     return _column_basis(N, lambda n: random_unitary(n, np.random.default_rng(seed)))
 
 

@@ -383,9 +383,8 @@ def test_verdict_ignores_rank_one_residual_when_lambda_is_positive():
     Phi = np.outer(phi, phi)
     sep = Channel.from_choi(_regroup(t / 16 * (np.eye(16) - Phi), 2), 4, 4)
     ent = Channel.from_choi(_regroup(t / 16 * Phi, 2), 4, 4)
-    # the factor of that residual is what the lambda = 0 rule would read
-    residual_eig = np.linalg.eigh(_regroup(ent.choi, 2))
-    verdict = _verdict(D, sep, ent, DEFAULT_TOL, 15 / 16, residual_eig[0])
+    # the rank of that residual is what the lambda = 0 rule would read
+    verdict = _verdict(D, sep, ent, 15 / 16, 1)
     assert verdict.kind == "inconclusive"
 
 
@@ -476,6 +475,28 @@ def test_negative_budget_is_rejected_before_any_work(budget):
     with pytest.raises(ValueError, match="budget"):
         bsa_operation(random_cp_channel(4, 4, 1, kraus_count=2), 2,
                       budget=budget, seed=0)
+
+
+def test_budget_zero_runs_no_refinement_round(monkeypatch):
+    # no candidates, so no search, ascent or barrier round: lambda 0, no
+    # terms and the residual rho itself
+    import scipy.optimize
+    calls = []
+    minimize = scipy.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counting)
+    rho = werner_state(0.5)
+    dec = bsa_state(rho, SH22, budget=0, seed=0)
+    assert calls == []
+    assert dec.lambda_total == 0.0 and dec.terms == () and dec.candidate_set_size == 0
+    assert dec.certificate is None and np.array_equal(dec.residual, rho)
+    assert not np.any(dec.separable_part)
+    assert bsa_state(rho, SH22, budget=1, seed=0).lambda_total > 0
+    assert len(calls) == 20
 
 
 @pytest.mark.parametrize("min_eig,error", [(-1e-6, NotCompletelyPositive),

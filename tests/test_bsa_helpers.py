@@ -9,9 +9,11 @@ point may beat it.
 import numpy as np
 import pytest
 
-from choiscope.bsa import (ASCENT_FLOOR, ProductVector, _floor, _improve_term,
+from choiscope.bsa import (ASCENT_FLOOR, ProductVector, _check_state, _improve_term,
                            _max_lambda_raw, _psd_scale, _shifted_factor,
                            max_lambda_bisection, max_pair)
+from choiscope.errors import NotAState
+from choiscope.numerics import DEFAULT_TOL, range_mask
 from choiscope.reshape import BipartiteShape
 
 from conftest import random_complex, random_density
@@ -53,8 +55,9 @@ def test_psd_scale_puts_the_residual_on_the_floor(seed):
     rho = random_density(rng, d, d if seed % 2 else 3)
     A = random_complex(rng, d, 2)
     sigma = (1e-3, 1e-1, 2.0)[seed // 2] * (A @ A.conj().T) / np.trace(A @ A.conj().T).real
-    eig = np.linalg.eigh(rho)
-    floor, shifted = _floor(eig)
+    inp = _check_state(rho, DEFAULT_TOL)
+    eig = np.linalg.eigh(inp.rho)
+    floor, shifted = inp.floor, inp.shifted
     assert floor == min(0.0, eig[0][0]) + ASCENT_FLOOR
     t = _psd_scale(shifted, sigma)
     assert 0.0 < t <= 1.0
@@ -62,6 +65,48 @@ def test_psd_scale_puts_the_residual_on_the_floor(seed):
     if t < 1.0:
         assert np.linalg.eigvalsh(rho - (1.0 + 1e-6) * t * sigma)[0] < floor
     assert _psd_scale(shifted, 0.0 * sigma) == 1.0
+
+
+@pytest.mark.parametrize("kind", ["full_rank", "rank_deficient", "slightly_negative"])
+@pytest.mark.parametrize("seed", range(4))
+def test_checked_input_derives_every_fact_from_one_factor(kind, seed):
+    # range, projector, floor and shifted factor all come from the eigh of
+    # the Hermitian part, the one the state check takes
+    rng = np.random.default_rng(seed)
+    d = 6
+    M = random_density(rng, d, d if kind == "full_rank" else 3)
+    if kind == "slightly_negative":
+        # a least eigenvalue inside the -1e-8 input tolerance
+        w, U = np.linalg.eigh(M)
+        w[0] = -5e-9
+        M = (U * w) @ U.conj().T
+    inp = _check_state(M, DEFAULT_TOL)
+    assert np.array_equal(inp.rho, (M + M.conj().T) / 2.0)
+    w, V = np.linalg.eigh(inp.rho)
+    assert np.array_equal(inp.w, w)
+    mask = range_mask(w, DEFAULT_TOL)
+    assert np.array_equal(inp.range[0], w[mask])
+    assert np.array_equal(inp.range[1], V[:, mask])
+    cols = inp.range[1]
+    assert cols.shape[1] == {"full_rank": d}.get(kind, 3)
+    assert np.array_equal(inp.Pi, cols @ cols.conj().T)
+    assert np.max(np.abs(inp.Pi @ inp.Pi - inp.Pi)) < 1e-12
+    assert inp.floor == min(0.0, w[0]) + ASCENT_FLOOR
+    # a rank-deficient input's zero eigenvalues round to either sign
+    least = -5e-9 if kind == "slightly_negative" else 0.0
+    assert abs(inp.floor - ASCENT_FLOOR - least) < 1e-15
+    S, B = inp.shifted
+    assert np.array_equal(B, V)
+    assert np.max(np.abs((B * S) @ B.conj().T - (inp.rho - inp.floor * np.eye(d)))) < 1e-12
+
+
+def test_checked_input_tests_the_dimension_after_the_state():
+    shape = BipartiteShape(2, 2)
+    with pytest.raises(NotAState, match="expected dim 4"):
+        _check_state(np.eye(6) / 6.0, DEFAULT_TOL, shape=shape)
+    with pytest.raises(NotAState, match="min eigenvalue"):
+        _check_state(-np.eye(6) / 6.0, DEFAULT_TOL, shape=shape)
+    assert _check_state(np.eye(4) / 4.0, DEFAULT_TOL, shape=shape).range[0].size == 4
 
 
 def _pair_instance(seed):

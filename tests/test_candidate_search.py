@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from choiscope import bsa
 from choiscope.bsa import (OVERLAP_ROUNDING, PRODUCT_OVERLAP,
-                           _best_product_overlaps, _range,
+                           _best_product_overlaps, _check_state,
                            _product_free_certificate, _regroup,
                            _realignment_excludes_products,
                            _symmetric_extension_bound, bsa_operation,
                            bsa_state, candidate_products, max_lambda,
-                           osa_fixed_set)
+                           max_pair, osa_fixed_set)
 from choiscope.generators import random_cp_channel, random_product_mixture
 from choiscope.numerics import Tolerance
 from choiscope.reshape import BipartiteShape, realign, tensor_vectors
@@ -251,7 +251,7 @@ def test_product_overlap_below_symmetric_extension_bound(seed, shape):
 def test_neither_certificate_level_fires_on_product_mixtures(d_A, d_B, n_terms, seed):
     shape = BipartiteShape(d_A, d_B)
     rho = random_product_mixture(d_A, d_B, n_terms, seed=400 + seed)
-    _, cols = _range(rho, Tolerance(1e-9, 1e-9))
+    _, cols = _check_state(rho, Tolerance(1e-9, 1e-9)).range
     assert cols.shape[1] == n_terms < shape.dim
     Pi = cols @ cols.conj().T
     # each mixed-in product vector sits in the range with overlap 1
@@ -345,7 +345,8 @@ def test_certificate_on_seeded_random_cp_ranges(kraus_count):
     fired = 0
     for seed in range(40):
         E = _regroup(random_cp_channel(4, 4, seed, kraus_count=kraus_count).choi, 2)
-        _, cols = _range((E + E.conj().T) / (2.0 * np.trace(E).real), Tolerance(1e-9, 1e-9))
+        _, cols = _check_state((E + E.conj().T) / (2.0 * np.trace(E).real),
+                               Tolerance(1e-9, 1e-9)).range
         assert cols.shape[1] == kraus_count
         fired += _product_free_certificate(cols, cols @ cols.conj().T, shape) is not None
     # measured on these seeds; 7 is above the extension's gate at 4x4
@@ -382,7 +383,7 @@ def test_symmetric_certificate_decides_the_cli_fixture():
     path = Path(__file__).parent / "fixtures" / "random_cp4x4.json"
     shape = BipartiteShape(4, 4)
     rho = _regrouped_choi_state(load_path(path).to_channel())
-    _, cols = _range(rho, Tolerance(1e-9, 1e-9))
+    _, cols = _check_state(rho, Tolerance(1e-9, 1e-9)).range
     # level 1 cannot decide this rank-4 range; level 2 can
     assert not _realignment_excludes_products(cols @ cols.conj().T, shape)
     assert _symmetric_extension_bound(cols, shape) < 0.99
@@ -501,6 +502,7 @@ def test_each_bsa_entry_point_factors_its_input_once(monkeypatch):
     entry_points = {
         "max_lambda": lambda: max_lambda(rho, psi),
         "candidate_products": lambda: candidate_products(rho, shape, 4, seed=1),
+        "max_pair": lambda: max_pair(rho, psi, V[1].vector),
         "osa_fixed_set": lambda: osa_fixed_set(rho, V, seed=0),
         "bsa_state": lambda: bsa_state(rho, shape, budget=6, seed=0),
     }

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choiscope.bsa import _range, bsa_operation
+from choiscope.bsa import _check_state, bsa_operation
 from choiscope.channels import Channel, choi_to_kraus, validate
 from choiscope.errors import NotPsd
 from choiscope.generators import random_cp_channel, random_state
@@ -126,7 +126,7 @@ def test_pseudo_inverse_inverts_no_rounding_noise(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_range_rank_is_scale_invariant(seed, c):
     rho = c * random_state(4, seed, rank=2)
-    w, cols = _range(rho, Tolerance())
+    w, cols = _check_state(rho, Tolerance()).range
     assert w.size == cols.shape[1] == 2
 
 
