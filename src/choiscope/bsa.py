@@ -6,10 +6,13 @@ product projectors, ``delta_rho >= 0`` and ``Lambda`` as large as
 possible.  The workhorse is coordinate ascent over a finite candidate
 set of product vectors, with single-projector and projector-pair weight
 updates; the subtractable weight of one projector has the closed form
-``1 / <psi| rho^+ |psi>`` when ``psi`` lies in the range of ``rho``.  Each
-input has one floor, ``-ASCENT_FLOOR`` below min(0, lambda_min(rho)), read
-from the ``eigh`` of its state check (``_Input``).  The ascent, the barrier's
-rescale, ``max_lambda`` and ``max_pair`` keep every residual above it.
+``1 / <psi| rho^+ |psi>`` when ``psi`` lies in the range of ``rho``.  Over
+a fixed set the weights are a convex problem, solved by Newton's method on
+its dual before the ascent runs.  Each input has one floor,
+``-ASCENT_FLOOR`` below min(0, lambda_min(rho)), read from the ``eigh`` of
+its state check (``_Input``).  The ascent, ``_psd_scale`` (of the barrier
+proposals and the fixed-set weights), ``max_lambda`` and ``max_pair`` keep
+every residual above it.
 
 Before any of that, ``bsa_state`` asks whether range(rho) can hold a
 product vector at all.  A separable part must lie in range(rho), so when
@@ -36,7 +39,7 @@ from .channels import Channel, _kraus_stack
 from .errors import (CandidateOutsideRange, DimensionMismatch, InvalidArgument,
                      NonConvergence, NonFinite, NotAState, NotCompletelyPositive,
                      ShapeMismatch, ZeroMatrix)
-from .numerics import DEFAULT_TOL, Tolerance, check_hermitian, check_seed, range_mask
+from .numerics import DEFAULT_TOL, Tolerance, check_hermitian, check_index, range_mask
 from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
                       tensor, tensor_vectors)
 
@@ -64,6 +67,12 @@ PAIR_CAP = 500
 # Refinement rounds of bsa_state: the cap, and the least gain over three.
 MAX_ROUNDS = 12
 STALL_TOL = 1e-5
+# The fixed-set dual barrier: mu falls from 1 by x0.1 to DUAL_MU_MIN (1e-10 left the
+# Werner grid of criterion 08 1.1e-6 short), each stage centred to a Newton decrement
+# of DUAL_DECREMENT in at most DUAL_STEPS steps (the most measured was 241).
+DUAL_MU_MIN = 1e-11
+DUAL_DECREMENT = 1e-20
+DUAL_STEPS = 500
 # |D - D_sep| / |D| of a "separable" verdict: the BSA's own tolerances set it, not --tol
 SEPARABLE_REMAINDER = 1e-6
 # |tr rho - 1| bsa_state allows: a unit target has no scale, and --tol bounds rounding
@@ -277,7 +286,7 @@ def _max_pair_raw(factor, psi1, psi2):
         points.append((0.0, 1.0 / b))
     c = abs(np.sum(c1.conj() * c2 / w))
     d = a * b - c * c
-    if in1 and in2 and d > 1e-300 and a > c and b > c:
+    if in1 and in2 and d > 1e-12 * a * b and a > c and b > c:
         points.append(((b - c) / d, (a - c) / d))
     return max(points, key=sum)
 
@@ -397,7 +406,7 @@ def candidate_products(rho, shape: BipartiteShape, count: int, seed: int,
     Otherwise see ``_search_products``; ``max_attempts`` defaults to
     ``40 * count``.
     """
-    check_seed(seed)
+    check_index(seed, "seed")
     inp = _check_state(rho, tol, shape=shape)
     cols = inp.range[1]
     if count > 0 and _product_free_certificate(cols, inp.Pi, shape) is not None:
@@ -499,7 +508,6 @@ def _ascend(inp, V, lambdas, shape, rng, max_sweeps=500,
     projs = [np.outer(v, v.conj()) for v in vecs]
     delta = _residual(rho, lambdas, projs)
     total = float(np.sum(lambdas))
-    last_gain = np.inf  # no sweep run: not converged
     for sweep in range(max_sweeps):
         for a in range(len(V)):
             rho_a = delta + lambdas[a] * projs[a]
@@ -541,40 +549,10 @@ def _ascend(inp, V, lambdas, shape, rng, max_sweeps=500,
         new_total = float(np.sum(lambdas))
         if trace is not None:
             trace.append(new_total)
-        last_gain = new_total - total
-        if last_gain < sweep_tol:
+        if new_total - total < sweep_tol:
             return delta, True
         total = new_total
-    return delta, last_gain <= 1e-6
-
-
-def _barrier_ascent(rho, x, sigma_of, maxiter: int) -> np.ndarray:
-    """Maximize tr(sigma(x)) + mu*log det(rho - sigma(x) + eps) over x.
-
-    L-BFGS along a decreasing (mu, eps) barrier schedule, each stage
-    warm-started from the last.  ``sigma_of(x)`` returns ``(sigma,
-    tr_sigma, pullback)`` with ``pullback(Minv, mu)`` the gradient in x
-    of the objective, given ``Minv = (rho - sigma + eps)^-1``.
-    """
-    from scipy.optimize import minimize
-
-    d = rho.shape[0]
-
-    def objective(x, mu, eps):
-        sigma, tr_sigma, pullback = sigma_of(x)
-        M = rho - sigma + eps * np.eye(d)
-        ev, Q = np.linalg.eigh(M)
-        if ev[0] <= 0:
-            return 1e6 * (1.0 - ev[0]), np.zeros_like(x)
-        F = tr_sigma + mu * float(np.sum(np.log(ev)))
-        Minv = (Q / ev) @ Q.conj().T
-        return -F, -pullback(Minv, mu)
-
-    for mu, eps in [(1e-2, 1e-3), (1e-3, 1e-4), (1e-4, 1e-5),
-                    (1e-5, 1e-6), (1e-6, 1e-8)]:
-        x = minimize(objective, x, args=(mu, eps), jac=True,
-                     method="L-BFGS-B", options={"maxiter": maxiter}).x
-    return x
+    return delta, False
 
 
 def _psd_scale(shifted, sigma) -> float:
@@ -584,28 +562,49 @@ def _psd_scale(shifted, sigma) -> float:
     return 1.0 / max(1.0, float(np.linalg.eigvalsh(B.conj().T @ sigma @ B)[-1]))
 
 
-def _fixed_weights_barrier(inp, vecs, rng) -> np.ndarray:
-    """Near-optimal weights for a fixed projector set.
+def _fixed_set_weights(inp, vecs, X) -> np.ndarray:
+    """Optimal weights for the fixed projector set of the rows v_k of ``vecs``.
 
-    max sum(w) subject to rho - sum w_k P_k PSD, w >= 0 is convex; the
-    log-det barrier makes it smooth and the optimum global.  Weights are
-    parameterized as squares to keep them nonnegative.
+    max sum(w) subject to rho - sum w_k v_k v_k^dag PSD, w >= 0 is convex.  With
+    (l, C) = ``inp.range``, L = diag(l) and the rows x_k = C^dag v_k of ``X``, its
+    dual is min tr(Y L) over Y >= 0 with x_k^dag Y x_k >= 1.  Damped Newton on the
+    barrier tr(Y L) - mu log det Y - mu sum log s_k, s_k = x_k^dag Y x_k - 1, over
+    the r^2 real coordinates of a Hermitian Y, follows the central path, where
+    w_k = mu / s_k and L - sum w_k x_k x_k^dag = mu Y^-1 >= 0.  The slacks are carried
+    through the steps: x_k^dag Y x_k - 1 would lose their relative precision as they
+    fall towards mu / w_k.  Weights below 10 mu (inactive constraints) are zeroed, and
+    the rest scaled by ``_psd_scale`` onto rho - sigma >= floor*I.
     """
-    Vm = np.asarray(vecs)  # K x d
-
-    def sigma_of(x):
-        w = x * x
-        sigma = np.einsum("k,ki,kj->ij", w, Vm, Vm.conj())
-
-        def pullback(Minv, mu):
-            q = np.einsum("ki,ij,kj->k", Vm.conj(), Minv, Vm).real
-            return 2.0 * x * (1.0 - mu * q)
-
-        return sigma, float(np.sum(w)), pullback
-
-    x = _barrier_ascent(inp.rho, 1e-3 * (1.0 + rng.random(Vm.shape[0])), sigma_of,
-                        maxiter=400)
-    return x * x * _psd_scale(inp.shifted, sigma_of(x)[0])
+    lam = inp.range[0]
+    r = lam.size
+    # an orthonormal basis B_a of the Hermitian r x r matrices: Y = sum_a y_a B_a
+    B = np.zeros((r * r, r, r), dtype=complex)
+    for a, (i, j) in enumerate(np.ndindex(r, r)):
+        z = 1.0 if i == j else (1.0 if i < j else 1j) / np.sqrt(2)
+        B[a, i, j], B[a, j, i] = z, np.conj(z)
+    Q = np.einsum("ki,aij,kj->ka", X.conj(), B, X).real  # (Q y)_k = x_k^dag Y x_k
+    c = np.einsum("aii,i->a", B, lam).real  # c y = tr(Y L)
+    y = 2.0 * np.einsum("aii->a", B).real  # Y = 2I
+    s = Q @ y - 1.0
+    mu = 1.0
+    while mu >= DUAL_MU_MIN:
+        for _ in range(DUAL_STEPS):
+            ZB = np.linalg.inv(np.tensordot(y, B, 1)) @ B  # Z B_a, Z = Y^-1
+            g = c - mu * np.einsum("aii->a", ZB).real - mu * (Q.T @ (1.0 / s))
+            H1 = ZB.reshape(r * r, -1) @ ZB.transpose(0, 2, 1).reshape(r * r, -1).T
+            H = mu * H1.real + mu * (Q.T / s ** 2) @ Q  # H1_ab = tr(Z B_a Z B_b)
+            step = np.linalg.lstsq(H, -g, rcond=None)[0]  # H is singular to rounding at small mu
+            ds, t = Q @ step, 1.0
+            while (np.linalg.eigvalsh(np.tensordot(y + t * step, B, 1))[0] <= 0
+                   or np.min(s + t * ds) <= 0):
+                t /= 2
+            y, s = y + t * step, s + t * ds
+            if -(g @ step) <= DUAL_DECREMENT:
+                break
+        w = mu / s
+        w[w < 10 * mu] = 0.0
+        mu /= 10
+    return w * _psd_scale(inp.shifted, (vecs.T * w) @ vecs.conj())
 
 
 def osa_fixed_set(rho, V: Sequence[ProductVector],
@@ -615,29 +614,26 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
                   trace: Optional[list] = None) -> BsaDecomposition:
     """Optimal separable approximation over a fixed product-vector set.
 
-    Coordinate ascent: repeated single-projector weight updates, then a
-    random subset of projector-pair updates, until the total subtracted
-    weight stalls.  The total is nondecreasing across sweeps and the
-    residual stays PSD within the feasibility tolerance.
+    The weights solve the convex fixed-set problem exactly, by Newton's method
+    on its dual (``_fixed_set_weights``); sweeps of single-projector and random
+    projector-pair updates then run until the total subtracted weight stalls.
+    The total is nondecreasing across sweeps, the residual stays above the
+    input's floor, and ``seed`` draws only the pairs.
     """
-    check_seed(seed)
+    check_index(seed, "seed")
     inp = _check_state(rho, tol)
     rho = inp.rho
     V = list(V)
     if any(pv.e.size * pv.f.size != rho.shape[0] for pv in V):
         raise ShapeMismatch(f"candidates must have the state's dimension {rho.shape[0]}")
-    for pv in V:
-        v = pv.vector
-        if float(np.vdot(v, inp.Pi @ v).real) < PRODUCT_OVERLAP:
-            raise CandidateOutsideRange("candidate outside range of rho")
     if not V:
         return _assemble(rho, [], [], rho.astype(complex))
-    rng = np.random.default_rng(seed)
-    # warm start from the barrier solution of the (convex) fixed-set
-    # weight problem; the sweeps then certify feasibility and the
-    # coordinate-maximality exit conditions
-    lambdas = _fixed_weights_barrier(inp, [pv.vector for pv in V], rng)
-    delta, converged = _ascend(inp, V, lambdas, None, rng,
+    vecs = np.array([pv.vector for pv in V])
+    X = vecs @ inp.range[1].conj()  # rows C^dag v_k, of squared norm <v_k|Pi|v_k>
+    if np.min(np.sum(np.abs(X) ** 2, axis=1)) < PRODUCT_OVERLAP:
+        raise CandidateOutsideRange("candidate outside range of rho")
+    lambdas = _fixed_set_weights(inp, vecs, X)
+    delta, converged = _ascend(inp, V, lambdas, None, np.random.default_rng(seed),
                                max_sweeps=max_sweeps, sweep_tol=sweep_tol,
                                vector_update=False, trace=trace)
     result = _assemble(rho, lambdas, V, delta)
@@ -661,11 +657,13 @@ def _barrier_terms(inp, shape: BipartiteShape, K: int, rng,
     """Weighted product directions from a log-det barrier ascent.
 
     Maximizes tr(sigma) over sigma = sum_k |a_k b_k><a_k b_k| subject to
-    rho - sigma PSD, via L-BFGS on tr(sigma) + mu*log det(rho - sigma)
-    with a decreasing barrier schedule.  Used to re-seed the coordinate
-    ascent near high-weight directions; the output is only a proposal,
-    feasibility is re-certified downstream.
+    rho - sigma PSD, via L-BFGS on tr(sigma) + mu*log det(rho - sigma + eps)
+    along a decreasing (mu, eps) schedule, each stage warm-started from the
+    last.  Used to re-seed the coordinate ascent near high-weight directions;
+    the output is only a proposal, feasibility is re-certified downstream.
     """
+    from scipy.optimize import minimize
+
     dA, dB, d = shape.d_A, shape.d_B, shape.dim
     n, m = K * dA, K * dB
 
@@ -674,21 +672,20 @@ def _barrier_terms(inp, shape: BipartiteShape, K: int, rng,
         b = (x[2 * n:2 * n + m] + 1j * x[2 * n + m:]).reshape(K, dB)
         return a, b
 
-    def sigma_of(x):
+    def objective(x, mu, eps):
         a, b = unpack(x)
         vs = np.einsum("ku,km->kum", b, a).reshape(K, d)
         sigma = np.einsum("ki,kj->ij", vs, vs.conj())
-
-        def pullback(Minv, mu):
-            G = np.eye(d) - mu * Minv
-            gv = 2.0 * np.einsum("ij,kj->ki", G, vs)
-            gv3 = gv.reshape(K, dB, dA)
-            ga = np.einsum("kum,ku->km", gv3, b.conj())
-            gb = np.einsum("kum,km->ku", gv3, a.conj())
-            return np.concatenate([ga.real.ravel(), ga.imag.ravel(),
-                                   gb.real.ravel(), gb.imag.ravel()])
-
-        return sigma, float(np.trace(sigma).real), pullback
+        ev, Q = np.linalg.eigh(inp.rho - sigma + eps * np.eye(d))
+        if ev[0] <= 0:
+            return 1e6 * (1.0 - ev[0]), np.zeros_like(x)
+        F = float(np.trace(sigma).real) + mu * float(np.sum(np.log(ev)))
+        gv = 2.0 * np.einsum("ij,kj->ki", np.eye(d) - mu * ((Q / ev) @ Q.conj().T), vs)
+        gv3 = gv.reshape(K, dB, dA)
+        ga = np.einsum("kum,ku->km", gv3, b.conj())
+        gb = np.einsum("kum,km->ku", gv3, a.conj())
+        return -F, -np.concatenate([ga.real.ravel(), ga.imag.ravel(),
+                                    gb.real.ravel(), gb.imag.ravel()])
 
     a0 = 0.05 * (rng.normal(size=(K, dA)) + 1j * rng.normal(size=(K, dA)))
     b0 = 0.05 * (rng.normal(size=(K, dB)) + 1j * rng.normal(size=(K, dB)))
@@ -700,7 +697,11 @@ def _barrier_terms(inp, shape: BipartiteShape, K: int, rng,
         b0[k] = scale * pv.f
     x = np.concatenate([a0.real.ravel(), a0.imag.ravel(),
                         b0.real.ravel(), b0.imag.ravel()])
-    a, b = unpack(_barrier_ascent(inp.rho, x, sigma_of, maxiter=300))
+    for mu, eps in [(1e-2, 1e-3), (1e-3, 1e-4), (1e-4, 1e-5),
+                    (1e-5, 1e-6), (1e-6, 1e-8)]:
+        x = minimize(objective, x, args=(mu, eps), jac=True,
+                     method="L-BFGS-B", options={"maxiter": 300}).x
+    a, b = unpack(x)
     weights = (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)) ** 2
     terms = [(float(w), ProductVector(a[k], b[k]))
              for k, w in enumerate(weights) if w > KEPT_TERM]
@@ -739,9 +740,8 @@ def bsa_state(rho, shape: BipartiteShape, budget: int = 500,
     residual rho itself, names that certificate; nothing is searched or
     seeded.  Budget 0 gives that result without a certificate.
     """
-    if budget < 0:
-        raise InvalidArgument(f"budget must be >= 0, got {budget}")
-    check_seed(seed)
+    check_index(budget, "budget")
+    check_index(seed, "seed")
     inp = _check_state(rho, tol, shape=shape)
     if abs(np.trace(inp.rho).real - 1.0) > UNIT_TRACE_TOL:
         raise NotAState("bsa_state expects a normalized (trace-1) state")
@@ -848,9 +848,8 @@ def kraus_factor_split(operators: Sequence[np.ndarray], shape: BipartiteShape,
 def bsa_operation(channel: Channel, d: int, budget: int = 500,
                   seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> OperationBsa:
     """BSA of a CP map on a d (x) d bipartite system via its Choi matrix."""
-    if budget < 0:
-        raise InvalidArgument(f"budget must be >= 0, got {budget}")
-    check_seed(seed)
+    check_index(budget, "budget")
+    check_index(seed, "seed")
     n = d * d
     if channel.d_in != n or channel.d_out != n:
         raise DimensionMismatch(

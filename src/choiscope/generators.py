@@ -12,7 +12,7 @@ import numpy as np
 
 from .channels import Channel, identity_channel, transpose_channel
 from .errors import DimensionMismatch, NonFinite, ShapeMismatch
-from .numerics import check_seed
+from .numerics import check_index
 from .reshape import swap_operator
 
 
@@ -50,7 +50,7 @@ def random_cp_channel(d_in: int, d_out: int, seed: int,
         raise ShapeMismatch(f"random_cp_channel needs d_in, d_out >= 1, got {d_in}, {d_out}")
     if kraus_count < 0:
         raise ShapeMismatch(f"kraus_count must be >= 0, got {kraus_count}")
-    check_seed(seed)
+    check_index(seed, "seed")
     rng = np.random.default_rng(seed)
     k = kraus_count if kraus_count > 0 else d_out
     A = rng.normal(size=(k * d_out, d_in)) + 1j * rng.normal(size=(k * d_out, d_in))
@@ -67,7 +67,7 @@ def random_state(d: int, seed: int, rank: int = 0) -> np.ndarray:
         raise ShapeMismatch(f"a state needs d >= 1, got {d}")
     if not 0 <= rank <= d:
         raise ShapeMismatch(f"rank must be in 0..{d}, got {rank}")
-    check_seed(seed)
+    check_index(seed, "seed")
     rng = np.random.default_rng(seed)
     r = rank if rank > 0 else d
     A = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
@@ -81,7 +81,7 @@ def random_product_mixture(d_A: int, d_B: int, n_terms: int, seed: int) -> np.nd
         raise ShapeMismatch(f"a product mixture needs n_terms >= 1, got {n_terms}")
     if d_A < 1 or d_B < 1:
         raise ShapeMismatch(f"subsystem dimensions must be >= 1, got {d_A}, {d_B}")
-    check_seed(seed)
+    check_index(seed, "seed")
     rng = np.random.default_rng(seed)
     d = d_A * d_B
     rho = np.zeros((d, d), dtype=complex)

@@ -8,6 +8,8 @@ validated wrappers around LAPACK via numpy.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +29,8 @@ class Tolerance:
     def __post_init__(self):
         for name in ("atol", "rtol"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise InvalidArgument(f"{name} must be finite and >= 0, got {value!r}")
+            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value >= 0):
+                raise InvalidArgument(f"{name} must be a finite real >= 0, got {value!r}")
 
     def bound(self, scale: float) -> float:
         return float(self.atol + self.rtol * scale)
@@ -49,11 +51,15 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def check_seed(seed) -> None:
-    """Raise ``InvalidArgument`` for a negative integer seed, which
-    ``numpy.random.default_rng`` would reject with a raw ``ValueError``."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+def check_index(value, name: str) -> None:
+    """Raise ``InvalidArgument`` naming ``name`` unless ``value`` is an integer
+    (``operator.index``) >= 0, which numpy or ``range`` would reject with a raw error."""
+    try:
+        valid = operator.index(value) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidArgument(f"{name} must be an integer >= 0, got {value!r}")
 
 
 # Row-block height of ``hermitian_gap``: a 64-row strip of a 625 x 625

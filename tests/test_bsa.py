@@ -275,6 +275,55 @@ def test_osa_residual_stays_above_the_ascent_floor():
     assert np.linalg.eigvalsh(dec.residual)[0] >= ASCENT_FLOOR - 1e-12
 
 
+def test_osa_reaches_the_fixed_set_optimum_for_every_seed():
+    # the L-BFGS warm start stopped at 0.128019 to 0.136416 on this set, by
+    # seed; the dual bound of the set is 0.1367577
+    rho = random_product_mixture(2, 2, 4, 10)
+    V = candidate_products(rho, SH22, 30, 2)
+    lams = [osa_fixed_set(rho, V, seed=s).lambda_total for s in range(5)]
+    assert max(lams) - min(lams) <= 1e-7
+    assert min(lams) >= 0.1367576
+    # with no sweep the result is the dual solve's own start
+    with pytest.raises(NonConvergence) as info:
+        osa_fixed_set(rho, V, max_sweeps=0, seed=0)
+    assert info.value.best.lambda_total > 0.136757
+
+
+def _bloch_grid(n=10):
+    """Criterion 08's n x n qubit grid; theta = 0 and pi repeat one vector n times."""
+    return [np.array([np.cos(ta / 2), np.exp(1j * pa) * np.sin(ta / 2)])
+            for ta in np.linspace(0, np.pi, n)
+            for pa in np.linspace(0, 2 * np.pi, n, endpoint=False)]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.8])
+def test_osa_on_the_product_grid_meets_the_werner_value(p):
+    # the 10,000 grid products hold an optimal decomposition of the Werner
+    # state, whose BSA weight is 3(1 - p)/2
+    grid = _bloch_grid()
+    V = [ProductVector(e, f) for e in grid for f in grid]
+    exact = 1.5 * (1.0 - p)
+    for seed in range(4):
+        dec = osa_fixed_set(werner_state(p), V, seed=seed)
+        assert exact - 1e-6 <= dec.lambda_total <= exact + 4e-10, seed
+        assert np.linalg.eigvalsh(dec.residual)[0] >= ASCENT_FLOOR - 1e-12, seed
+
+
+def test_osa_runs_no_scipy_minimize(monkeypatch):
+    import scipy.optimize
+    calls = []
+    minimize = scipy.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counting)
+    rho = random_product_mixture(2, 3, 4, 2003)
+    dec = osa_fixed_set(rho, candidate_products(rho, BipartiteShape(2, 3), 20, seed=1))
+    assert calls == [] and dec.lambda_total > 0
+
+
 def test_bsa_state_werner_value():
     dec = bsa_state(werner_state(0.5), SH22, budget=200, seed=1)
     # exact value for this family is 3(1-p)/2

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from choiscope.bsa import (ASCENT_FLOOR, ProductVector, _check_state, _improve_term,
-                           _max_lambda_raw, _psd_scale, _shifted_factor,
+                           _max_lambda_raw, _max_pair_raw, _psd_scale, _shifted_factor,
                            max_lambda_bisection, max_pair)
+from choiscope.generators import werner_state
 from choiscope.errors import NotAState
 from choiscope.numerics import DEFAULT_TOL, range_mask
 from choiscope.reshape import BipartiteShape
@@ -149,3 +150,20 @@ def test_max_pair_matches_closed_form(block):
         kinds.add(sum(inside))
     # every block has pairs in the range, and pairs with a vector outside
     assert 2 in kinds and kinds & {0, 1}
+
+
+def test_pair_update_of_a_vector_and_its_phase_copy_stays_above_the_floor():
+    # two projectors that are one: the 2x2 determinant d is rounding, and the
+    # stationary point ((b - c)/d, (a - c)/d) left residuals down to -9.39e-10
+    rho = werner_state(0.5)
+    low = np.inf
+    for phi in np.linspace(0.1, 6.2, 2000)[:40]:
+        v = ProductVector(np.array([1.0, 0.0]),
+                          np.array([np.cos(0.3), np.exp(1j * phi) * np.sin(0.3)])).vector
+        P = np.outer(v, v.conj())
+        R = rho - (_max_lambda_raw(_shifted_factor(rho, ASCENT_FLOOR), v) - 1e-9) * P
+        factor = _shifted_factor(R, ASCENT_FLOOR)
+        for phase in np.exp(1j * np.linspace(0.05, 6.2, 40)):
+            l1, l2 = _max_pair_raw(factor, v, phase * v)
+            low = min(low, np.linalg.eigvalsh(R - (l1 + l2) * P)[0])
+    assert low >= ASCENT_FLOOR - 1e-12

@@ -43,6 +43,13 @@ SITES = {
     "random_product_mixture seed": (lambda: random_product_mixture(2, 2, 3, np.int64(-1)),
                                     "seed"),
     "rotated_basis seed": (lambda: rotated_basis(2, -1), "seed"),
+    "random_state float seed": (lambda: random_state(4, 1.5), "seed"),
+    "random_state str seed": (lambda: random_state(4, "a"), "seed"),
+    "bsa_state float budget": (lambda: bsa_state(RHO, SH22, budget=1.5, seed=0), "budget"),
+    "bsa_operation float budget": (lambda: bsa_operation(CERTIFIED, 2, budget=2.0, seed=0),
+                                   "budget"),
+    "bsa_state float seed": (lambda: bsa_state(RHO, SH22, budget=2, seed=1.5), "seed"),
+    "Tolerance str atol": (lambda: Tolerance(atol="x"), "atol"),
 }
 
 
