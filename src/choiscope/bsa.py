@@ -24,8 +24,8 @@ range projector extended by one symmetric copy of the larger party; the
 result records which one fired.
 
 Operations are handled through their Choi matrix: regrouping its indices
-by (output, input) pairs per subsystem turns separability of the map
-into ordinary separability of a bipartite state.
+by (output, input) pairs per subsystem (``reshape._regroup``) turns
+separability of the map into ordinary separability of a bipartite state.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .errors import (CandidateOutsideRange, DimensionMismatch, InvalidArgument,
                      NonConvergence, NonFinite, NotAState, NotCompletelyPositive,
                      ShapeMismatch, ZeroMatrix)
 from .numerics import DEFAULT_TOL, Tolerance, check_hermitian, check_index, range_mask
-from .reshape import (BipartiteShape, devectorize, product_factorize, realign,
-                      tensor, tensor_vectors)
+from .reshape import (BipartiteShape, _blocks, _regroup, devectorize, product_factorize,
+                      realign, tensor, tensor_vectors)
 
 # Feasibility tolerances of the BSA optimizer; looser than the library
 # default because weights are accumulated over many subtractions.
@@ -69,7 +69,7 @@ MAX_ROUNDS = 12
 STALL_TOL = 1e-5
 # The fixed-set dual barrier: mu falls from 1 by x0.1 to DUAL_MU_MIN (1e-10 left the
 # Werner grid of criterion 08 1.1e-6 short), each stage centred to a Newton decrement
-# of DUAL_DECREMENT in at most DUAL_STEPS steps (the most measured was 241).
+# of DUAL_DECREMENT in at most DUAL_STEPS steps (the most measured was 153).
 DUAL_MU_MIN = 1e-11
 DUAL_DECREMENT = 1e-20
 DUAL_STEPS = 500
@@ -132,14 +132,13 @@ class OperationBsa:
 
 @dataclass(frozen=True)
 class _Input:
-    """A checked BSA input, from its one ``eigh`` (w, V): the Hermitian part
-    ``rho``, the ascending spectrum ``w``, the :func:`~choiscope.numerics.range_mask`
-    factor ``range`` = (w[keep], V[:, keep]), its projector ``Pi``, the ``floor``
+    """A checked BSA input, from its one ``eigh`` (w, V) with ascending w: the
+    Hermitian part ``rho``, the :func:`~choiscope.numerics.range_mask` factor
+    ``range`` = (w[keep], V[:, keep]), its projector ``Pi``, the ``floor``
     min(0, w[0]) + ``ASCENT_FLOOR`` and ``shifted`` = (w - floor, V), a factor of
     rho - floor*I.  Built only by ``_check_state``."""
 
     rho: np.ndarray
-    w: np.ndarray
     range: tuple
     Pi: np.ndarray
     floor: float
@@ -171,7 +170,7 @@ def _check_state(rho, tol: Tolerance, choi_trace: Optional[float] = None,
     keep = range_mask(w, tol)
     cols = V[:, keep]
     floor = min(0.0, float(w[0])) + ASCENT_FLOOR
-    return _Input(rho, w, (w[keep], cols), cols @ cols.conj().T, floor, (w - floor, V))
+    return _Input(rho, (w[keep], cols), cols @ cols.conj().T, floor, (w - floor, V))
 
 
 def _shifted_factor(M: np.ndarray, floor: float):
@@ -180,15 +179,20 @@ def _shifted_factor(M: np.ndarray, floor: float):
     return None if w[0] <= floor else (w - floor, V)
 
 
-def _max_lambda_raw(factor, psi: np.ndarray) -> float:
-    """Closed-form maximal weight from a range or shifted factor of rho; psi unit."""
+def _project(factor, psi: np.ndarray):
+    """(c, inside, a) for a unit psi on a range or shifted factor (w, C) of rho:
+    c = C^dag psi, whether psi lies within ``RANGE_TOL`` of span(C), and
+    a = <psi| rho^+ |psi> on that span."""
     w, cols = factor
     c = cols.conj().T @ psi
-    outside = 1.0 - float(np.sum(np.abs(c) ** 2))
-    if outside > RANGE_TOL:
-        return 0.0
-    val = float(np.sum(np.abs(c) ** 2 / w))
-    return 1.0 / val if val > 0 else 0.0
+    p = np.abs(c) ** 2
+    return c, 1.0 - float(np.sum(p)) <= RANGE_TOL, float(np.sum(p / w))
+
+
+def _max_lambda_raw(factor, psi: np.ndarray) -> float:
+    """Closed-form maximal weight from a range or shifted factor of rho; psi unit."""
+    _, inside, a = _project(factor, psi)
+    return 1.0 / a if inside and a > 0 else 0.0
 
 
 def _unit_vector(psi, n: int) -> np.ndarray:
@@ -272,19 +276,14 @@ def _max_pair_raw(factor, psi1, psi2):
     point ((b - c)/d, (a - c)/d), d = ab - c^2, where the 2x2 determinant is
     0.  A vector more than ``RANGE_TOL`` outside the span gets weight 0.
     """
-    w, cols = factor
-    c1 = cols.conj().T @ psi1
-    c2 = cols.conj().T @ psi2
-    in1 = 1.0 - float(np.sum(np.abs(c1) ** 2)) <= RANGE_TOL
-    in2 = 1.0 - float(np.sum(np.abs(c2) ** 2)) <= RANGE_TOL
-    a = float(np.sum(np.abs(c1) ** 2 / w))
-    b = float(np.sum(np.abs(c2) ** 2 / w))
+    c1, in1, a = _project(factor, psi1)
+    c2, in2, b = _project(factor, psi2)
     points = [(0.0, 0.0)]
     if in1:
         points.append((1.0 / a, 0.0))
     if in2:
         points.append((0.0, 1.0 / b))
-    c = abs(np.sum(c1.conj() * c2 / w))
+    c = abs(np.sum(c1.conj() * c2 / factor[0]))
     d = a * b - c * c
     if in1 and in2 and d > 1e-12 * a * b and a > c and b > c:
         points.append(((b - c) / d, (a - c) / d))
@@ -428,7 +427,7 @@ def _search_products(cols: np.ndarray, Pi: np.ndarray, shape: BipartiteShape,
     rng = np.random.default_rng(seed)
     full_range = cols.shape[1] == shape.dim
     dA, dB = shape.d_A, shape.d_B
-    Pi4 = Pi.reshape(dB, dA, dB, dA)
+    Pi4 = _blocks(Pi, shape)
     kept: list[ProductVector] = []
     kept_vecs = np.empty((max(count, 0), shape.dim), dtype=complex)
     attempts, block = 0, count
@@ -572,8 +571,9 @@ def _fixed_set_weights(inp, vecs, X) -> np.ndarray:
     the r^2 real coordinates of a Hermitian Y, follows the central path, where
     w_k = mu / s_k and L - sum w_k x_k x_k^dag = mu Y^-1 >= 0.  The slacks are carried
     through the steps: x_k^dag Y x_k - 1 would lose their relative precision as they
-    fall towards mu / w_k.  Weights below 10 mu (inactive constraints) are zeroed, and
-    the rest scaled by ``_psd_scale`` onto rho - sigma >= floor*I.
+    fall towards mu / w_k.  The start is L^-1, scaled so that every slack is >= 1.
+    Weights below 10 mu (inactive constraints) are zeroed, and the rest scaled by
+    ``_psd_scale`` onto rho - sigma >= floor*I.
     """
     lam = inp.range[0]
     r = lam.size
@@ -584,7 +584,8 @@ def _fixed_set_weights(inp, vecs, X) -> np.ndarray:
         B[a, i, j], B[a, j, i] = z, np.conj(z)
     Q = np.einsum("ki,aij,kj->ka", X.conj(), B, X).real  # (Q y)_k = x_k^dag Y x_k
     c = np.einsum("aii,i->a", B, lam).real  # c y = tr(Y L)
-    y = 2.0 * np.einsum("aii->a", B).real  # Y = 2I
+    y = np.einsum("aii,i->a", B, 1.0 / lam).real  # Y = L^-1
+    y *= 2.0 / np.min(Q @ y)
     s = Q @ y - 1.0
     mu = 1.0
     while mu >= DUAL_MU_MIN:
@@ -593,7 +594,10 @@ def _fixed_set_weights(inp, vecs, X) -> np.ndarray:
             g = c - mu * np.einsum("aii->a", ZB).real - mu * (Q.T @ (1.0 / s))
             H1 = ZB.reshape(r * r, -1) @ ZB.transpose(0, 2, 1).reshape(r * r, -1).T
             H = mu * H1.real + mu * (Q.T / s ** 2) @ Q  # H1_ab = tr(Z B_a Z B_b)
-            step = np.linalg.lstsq(H, -g, rcond=None)[0]  # H is singular to rounding at small mu
+            try:
+                step = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:  # H can be singular to rounding at small mu
+                step = np.linalg.lstsq(H, -g, rcond=None)[0]
             ds, t = Q @ step, 1.0
             while (np.linalg.eigvalsh(np.tensordot(y + t * step, B, 1))[0] <= 0
                    or np.min(s + t * ds) <= 0):
@@ -644,7 +648,7 @@ def osa_fixed_set(rho, V: Sequence[ProductVector],
 
 def _schmidt_factors(v: np.ndarray, shape: BipartiteShape, tol: Tolerance):
     """(e, f) if the bipartite vector is a product, else None."""
-    M = np.asarray(v, dtype=complex).reshape(shape.d_B, shape.d_A).T  # M[m, u]
+    M = devectorize(v, shape.d_A, shape.d_B)  # M[m, u]
     U, s, Vh = np.linalg.svd(M)
     if tol.rank(s) > 1:
         return None
@@ -689,9 +693,7 @@ def _barrier_terms(inp, shape: BipartiteShape, K: int, rng,
 
     a0 = 0.05 * (rng.normal(size=(K, dA)) + 1j * rng.normal(size=(K, dA)))
     b0 = 0.05 * (rng.normal(size=(K, dB)) + 1j * rng.normal(size=(K, dB)))
-    for k, (lam, pv) in enumerate(init_terms):
-        if k >= K:
-            break
+    for k, (lam, pv) in enumerate(init_terms[:K]):
         scale = (0.8 * max(lam, 0.0)) ** 0.25
         a0[k] = scale * pv.e
         b0[k] = scale * pv.f
@@ -719,7 +721,7 @@ def _improve_term(factor, pv: ProductVector, shape: BipartiteShape) -> ProductVe
     given the ``_shifted_factor`` of ``rho_a``, which spans the whole space.
     """
     w, cols = factor
-    B4 = ((cols / w) @ cols.conj().T).reshape(shape.d_B, shape.d_A, shape.d_B, shape.d_A)
+    B4 = _blocks((cols / w) @ cols.conj().T, shape)
     e, f, _ = _best_product_overlaps(B4, pv.e[None], pv.f[None], iters=40,
                                      pick=0)
     return ProductVector(e[0], f[0])
@@ -797,17 +799,6 @@ def _bsa_state(inp, shape, budget, seed, tol) -> BsaDecomposition:
             break
     V_b, lam_b, delta_b = best
     return _assemble(rho, lam_b, V_b, delta_b)
-
-
-def _regroup(D: np.ndarray, d: int) -> np.ndarray:
-    """Choi matrix regrouped by subsystem: ``P D P`` with ``P = middle_swap(d)``.
-
-    The Choi matrix of a map on a d (x) d bipartite system indexes its
-    rows by (output, input) pairs; regrouping by subsystem instead is the
-    middle-factor swap, applied here as one reshape-transpose.
-    """
-    n = d ** 4
-    return D.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(n, n)
 
 
 def bipartite_choi(operators: Sequence[np.ndarray], d: int,

@@ -21,8 +21,8 @@ from .errors import (DimensionMismatch, InvalidArgument, NonFinite,
                      NotCompletelyPositive, ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eig_hermitian,
                        hermitian_gap, hs_inner, range_mask)
-from .reshape import (BipartiteShape, _blocks, devectorize, flip, flip_col,
-                      flip_row, partial_trace_B, realign, realign_inverse,
+from .reshape import (BipartiteShape, _blocks, _middle_swapped_product, devectorize, flip,
+                      flip_col, flip_row, partial_trace_B, realign, realign_inverse,
                       swap_operator, tensor, vectorize)
 
 
@@ -322,9 +322,9 @@ def tensor_channels(phi: Channel, psi: Channel) -> Channel:
     ``L = (I(x)S(x)I)(L_phi (x) L_psi)(I(x)S(x)I)`` with the swaps on the
     factors' shaped axes, written by one broadcast product of the
     factors' entries straight into the middle-swapped layout
-    (:func:`_middle_swapped_product`); ``D`` is its realignment.  Kraus
-    operators, when both factors carry them, are the pairwise type-I
-    tensors, built in one broadcast over the stacked operators.
+    (:func:`~choiscope.reshape._middle_swapped_product`); ``D`` is its
+    realignment.  Kraus operators, when both factors carry them, are the
+    pairwise type-I tensors, built in one broadcast over the stacked operators.
     """
     L = _middle_swapped_product(psi.liouville, phi.liouville,
                                 (psi.d_out, psi.d_out, psi.d_in, psi.d_in),
@@ -338,21 +338,6 @@ def tensor_channels(phi: Channel, psi: Channel) -> Channel:
         pairs = H[None, :, :, None, :, None] * G[:, None, None, :, None, :]
         kraus = tuple(pairs.reshape(-1, d_out, d_in))
     return Channel(L, d_in, d_out, liouville_to_choi(L, d_in, d_out), kraus=kraus)
-
-
-def _middle_swapped_product(X: np.ndarray, Y: np.ndarray, x_dims, y_dims) -> np.ndarray:
-    """``P kron(X, Y) Q`` with P, Q the middle swaps of the factors' axes.
-
-    ``x_dims = (a1, a0, c1, c0)`` are the sizes of X's row pair (a1, a0)
-    and column pair (c1, c0), ``y_dims = (b1, b0, d1, d0)`` those of Y.
-    Entry ``[(a1,b1,a0,b0), (c1,d1,c0,d0)]`` is
-    ``X[(a1,a0), (c1,c0)] * Y[(b1,b0), (d1,d0)]``, the same single
-    product as in the kron, written once into the output.
-    """
-    x_axes = [n for size in x_dims for n in (size, 1)]
-    y_axes = [n for size in y_dims for n in (1, size)]
-    out = np.multiply(X.reshape(x_axes), Y.reshape(y_axes), dtype=complex)
-    return out.reshape(x_dims[0] * x_dims[1] * y_dims[0] * y_dims[1], -1)
 
 
 def transpose_conjugations(channel: Channel, mode: str) -> Channel:

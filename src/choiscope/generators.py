@@ -13,7 +13,7 @@ import numpy as np
 from .channels import Channel, identity_channel, transpose_channel
 from .errors import DimensionMismatch, NonFinite, ShapeMismatch
 from .numerics import check_index
-from .reshape import swap_operator
+from .reshape import swap_operator, tensor_vectors, vectorize
 
 
 def depolarizing_channel(N: int, p: float) -> Channel:
@@ -23,7 +23,7 @@ def depolarizing_channel(N: int, p: float) -> Channel:
     if not np.isfinite(p):
         raise NonFinite(f"depolarizing strength must be finite, got {p!r}")
     L = (1.0 - p) * np.eye(N * N, dtype=complex)
-    ident = np.eye(N, dtype=complex).reshape(-1, order="F")
+    ident = vectorize(np.eye(N))
     L += (p / N) * np.outer(ident, ident.conj())
     return Channel.from_liouville(L, N, N)
 
@@ -88,7 +88,7 @@ def random_product_mixture(d_A: int, d_B: int, n_terms: int, seed: int) -> np.nd
     for _ in range(n_terms):
         e = rng.normal(size=d_A) + 1j * rng.normal(size=d_A)
         f = rng.normal(size=d_B) + 1j * rng.normal(size=d_B)
-        v = np.kron(f / np.linalg.norm(f), e / np.linalg.norm(e))
+        v = tensor_vectors(e / np.linalg.norm(e), f / np.linalg.norm(f))
         rho += np.outer(v, v.conj())
     return rho / n_terms
 

@@ -17,7 +17,9 @@ Worked 2x2 example: with ``X = [[x00, x01], [x10, x11]]`` and
 for a ``p x q`` matrix.  All other operations here are pure index
 permutations of a bipartite matrix ``Z`` with rows/cols indexed by
 ``(m, u)`` pairs; each carries its entry rule in the docstring and is the
-single source of truth for the tests.
+single source of truth for the tests.  Each is one ``_permute`` of Z's
+block view, except the four-factor ``_regroup`` (a Choi matrix ordered by
+subsystem) and ``_middle_swapped_product`` (a tensor product's L).
 """
 
 from __future__ import annotations
@@ -117,25 +119,29 @@ def swap_operator(N: int) -> np.ndarray:
     return np.eye(N * N).reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
 
 
+def _permute(Z, shape: BipartiteShape, axes, out=None) -> np.ndarray:
+    """Z checked once, its ``_blocks`` axes (mu, m, nu, n) transposed by
+    ``axes`` and reshaped to the shape ``out``, Z's own by default."""
+    Z = _as_bipartite(Z, shape)
+    return _blocks(Z, shape).transpose(axes).reshape(out or Z.shape)
+
+
 def flip(Z, shape: BipartiteShape) -> np.ndarray:
     """S Z S: entry rule F(Z)_{mu,nv} = Z_{um,vn}; requires d_A == d_B."""
     shape.require_square_subsystems()
-    Z = _as_bipartite(Z, shape)
-    return _blocks(Z, shape).transpose(1, 0, 3, 2).reshape(Z.shape)
+    return _permute(Z, shape, (1, 0, 3, 2))
 
 
 def flip_row(Z, shape: BipartiteShape) -> np.ndarray:
     """S Z (row flip)."""
     shape.require_square_subsystems()
-    Z = _as_bipartite(Z, shape)
-    return _blocks(Z, shape).transpose(1, 0, 2, 3).reshape(Z.shape)
+    return _permute(Z, shape, (1, 0, 2, 3))
 
 
 def flip_col(Z, shape: BipartiteShape) -> np.ndarray:
     """Z S (column flip)."""
     shape.require_square_subsystems()
-    Z = _as_bipartite(Z, shape)
-    return _blocks(Z, shape).transpose(0, 1, 3, 2).reshape(Z.shape)
+    return _permute(Z, shape, (0, 1, 3, 2))
 
 
 def partial_transpose(Z, shape: BipartiteShape, which: str = "both") -> np.ndarray:
@@ -144,17 +150,11 @@ def partial_transpose(Z, shape: BipartiteShape, which: str = "both") -> np.ndarr
     ``which='A'``: T_A(Z)_{mu,nv} = Z_{nu,mv}; ``'B'``: T_B(Z)_{mu,nv} =
     Z_{mv,nu}; ``'both'`` is the full transpose.
     """
-    Z = _as_bipartite(Z, shape)
-    blocks = _blocks(Z, shape)
-    if which == "A":
-        out = blocks.transpose(0, 3, 2, 1)
-    elif which == "B":
-        out = blocks.transpose(2, 1, 0, 3)
-    elif which == "both":
-        out = blocks.transpose(2, 3, 0, 1)
-    else:
+    axes = {"A": (0, 3, 2, 1), "B": (2, 1, 0, 3), "both": (2, 3, 0, 1)}
+    if not isinstance(which, str) or which not in axes:
+        _as_bipartite(Z, shape)  # a bad matrix is reported before a bad which
         raise InvalidArgument(f"which must be 'A', 'B' or 'both', got {which!r}")
-    return out.reshape(Z.shape)
+    return _permute(Z, shape, axes[which])
 
 
 def realign(Z, shape: BipartiteShape) -> np.ndarray:
@@ -163,9 +163,8 @@ def realign(Z, shape: BipartiteShape) -> np.ndarray:
     Entry rule ``R(Z)[n * d_A + m, nu * d_B + u] = Z[u * d_A + m, nu * d_A + n]``;
     output is ``d_A^2 x d_B^2``.  Involution for square shapes.
     """
-    Z = _as_bipartite(Z, shape)
     # blocks axes (u, m, nu, n) -> rows (n, m), cols (nu, u)
-    return _blocks(Z, shape).transpose(3, 1, 2, 0).reshape(shape.d_A ** 2, shape.d_B ** 2)
+    return _permute(Z, shape, (3, 1, 2, 0), (shape.d_A ** 2, shape.d_B ** 2))
 
 
 def realign_inverse(R, shape: BipartiteShape) -> np.ndarray:
@@ -180,11 +179,8 @@ def realign_inverse(R, shape: BipartiteShape) -> np.ndarray:
 def realign_prime(Z, shape: BipartiteShape) -> np.ndarray:
     """The second alignment: R'(Z)_{mn,uv} = Z_{vn,um}; needs d_A == d_B."""
     shape.require_square_subsystems()
-    Z = _as_bipartite(Z, shape)
-    N = shape.d_A
-    # R'(Z)[n*N + m, v*N + u] = Z[n*N + v, m*N + u]
-    four = Z.reshape(N, N, N, N)  # (n, v, m, u)
-    return four.transpose(0, 2, 1, 3).reshape(N * N, N * N)
+    # R'(Z)[n*N + m, v*N + u] = Z[n*N + v, m*N + u]: blocks axes (n, v, m, u)
+    return _permute(Z, shape, (0, 2, 1, 3))
 
 
 def product_factorize(Z, shape: BipartiteShape, tol: Tolerance = DEFAULT_TOL):
@@ -218,3 +214,28 @@ def middle_swap(N: int) -> np.ndarray:
     S = swap_operator(N)  # first, so N < 1 raises its ShapeMismatch
     return np.kron(np.eye(N), np.kron(S, np.eye(N)))
 
+
+def _middle_swapped_product(X: np.ndarray, Y: np.ndarray, x_dims, y_dims) -> np.ndarray:
+    """``P kron(X, Y) Q`` with P, Q the middle swaps of the factors' axes.
+
+    ``x_dims = (a1, a0, c1, c0)`` are the sizes of X's row pair (a1, a0)
+    and column pair (c1, c0), ``y_dims = (b1, b0, d1, d0)`` those of Y.
+    Entry ``[(a1,b1,a0,b0), (c1,d1,c0,d0)]`` is
+    ``X[(a1,a0), (c1,c0)] * Y[(b1,b0), (d1,d0)]``, the same single
+    product as in the kron, written once into the output.
+    """
+    x_axes = [n for size in x_dims for n in (size, 1)]
+    y_axes = [n for size in y_dims for n in (1, size)]
+    out = np.multiply(X.reshape(x_axes), Y.reshape(y_axes), dtype=complex)
+    return out.reshape(x_dims[0] * x_dims[1] * y_dims[0] * y_dims[1], -1)
+
+
+def _regroup(D: np.ndarray, d: int) -> np.ndarray:
+    """Choi matrix regrouped by subsystem: ``P D P`` with ``P = middle_swap(d)``.
+
+    The Choi matrix of a map on a d (x) d bipartite system indexes its
+    rows by (output, input) pairs; regrouping by subsystem instead is the
+    middle-factor swap, applied here as one reshape-transpose.
+    """
+    n = d ** 4
+    return D.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(n, n)

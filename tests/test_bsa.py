@@ -289,6 +289,28 @@ def test_osa_reaches_the_fixed_set_optimum_for_every_seed():
     assert info.value.best.lambda_total > 0.136757
 
 
+def test_osa_solves_the_newton_steps_without_lstsq(monkeypatch):
+    # each Newton step is an LU solve; lstsq is only for a system that solve finds singular
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    rho = random_product_mixture(2, 2, 4, 10)
+    dec = osa_fixed_set(rho, candidate_products(rho, SH22, 30, 2), seed=0)
+    assert calls == [] and dec.lambda_total >= 0.1367576
+
+
+def test_osa_on_a_full_rank_4x4_state():
+    rho = random_state(16, 3)
+    dec = osa_fixed_set(rho, candidate_products(rho, BipartiteShape(4, 4), 50, 3))
+    assert abs(dec.lambda_total - 0.0562906142) <= 1e-7
+    assert np.linalg.eigvalsh(dec.residual)[0] >= ASCENT_FLOOR - 1e-12
+
+
 def _bloch_grid(n=10):
     """Criterion 08's n x n qubit grid; theta = 0 and pi repeat one vector n times."""
     return [np.array([np.cos(ta / 2), np.exp(1j * pa) * np.sin(ta / 2)])

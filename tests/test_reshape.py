@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiscope.errors import NonSquareSubsystems, ShapeMismatch, ZeroMatrix
+from choiscope.errors import NonFinite, NonSquareSubsystems, ShapeMismatch, ZeroMatrix
 from choiscope.numerics import svd_rank
 from choiscope.reshape import (BipartiteShape, devectorize, flip, flip_col,
                                flip_row, middle_swap, partial_trace_A,
@@ -205,3 +205,10 @@ def test_devectorize_rejects_a_vector_of_the_wrong_length():
 def test_flip_needs_equal_parties():
     with pytest.raises(NonSquareSubsystems, match="d_A == d_B"):
         flip(np.eye(6), BipartiteShape(2, 3))
+
+
+def test_partial_transpose_reports_a_bad_matrix_before_a_bad_which():
+    Z = np.eye(4, dtype=complex)
+    Z[1, 2] = np.nan
+    with pytest.raises(NonFinite):
+        partial_transpose(Z, BipartiteShape(2, 2), which="C")
